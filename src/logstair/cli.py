@@ -123,10 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, path=False, omega=False, mn=False, trunc=False):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--lift-tol", type=float, default=1e-10)
         p.add_argument("--geom-tol", type=float, default=1e-9)
-        p.add_argument("--cross-tol", type=float, default=0.02)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         if path:
             p.add_argument("--path", required=True, metavar="FILE.json")

@@ -90,7 +90,10 @@ class ConformalMap:
         t = 1j * complex(np.sqrt(complex((base - self.v1) / (base - self.v0))))
         if t.imag < 0:
             t = -t
-        steps = []  # (b, c2, t_in, t_mid, t_out, f_t) per absorbed node
+        # per absorbed node: (b, k_in, t_in, t_mid, c2, s_t, t_out, f_t), with
+        # k_in = 1 - t_in/b (None when b is infinite) and s_t = f_t * t_out,
+        # the unflipped square root at the anchor
+        steps = []
         v0_img = None  # image of v0 (starts at infinity under the initial map)
         for k in range(len(w)):
             a = complex(w[k])
@@ -106,7 +109,8 @@ class ConformalMap:
             s_t = complex(np.sqrt(complex(t_mid * t_mid + c2)))
             f_t = -1.0 if _flip(s_t, t_mid) else 1.0
             t_out = f_t * s_t
-            steps.append((b, c2, t_in, t_mid, t_out, f_t))
+            k_in = None if math.isinf(b) else 1.0 - t_in / b
+            steps.append((b, k_in, t_in, t_mid, c2, f_t * t_out, t_out, f_t))
             t = t_out
             if not math.isinf(b):
                 w = w / (1.0 - w / b)
@@ -142,19 +146,41 @@ class ConformalMap:
         w = 1j * np.sqrt((z - self.v1) / (z - self.v0))
         w = np.where(w.imag < 0, -w, w)
         delta = w - self.steps[0][2]
-        for b, c2, t_in, t_mid, t_out, f_t in self.steps:
-            w_full = t_in + delta
-            if not math.isinf(b):
-                delta = delta / ((1.0 - w_full / b) * (1.0 - t_in / b))
-            w1 = t_mid + delta
-            s_w = np.sqrt(w1 * w1 + c2)
-            f_w = np.where(_flip(s_w, w1), -1.0, 1.0)
-            s_t = f_t * t_out  # unflipped sqrt of the anchor
-            delta = np.where(
-                f_w == f_t,
-                f_w * delta * (w1 + t_mid) / (s_w + s_t),
-                f_w * s_w - t_out,
-            )
+        # scratch buffers; no product is written over one of its factors,
+        # which for one-point arrays would change numpy's rounding
+        w1 = np.empty_like(delta)
+        s_w = np.empty_like(delta)
+        prod = np.empty_like(delta)
+        for b, k_in, t_in, t_mid, c2, s_t, t_out, f_t in self.steps:
+            if k_in is not None:
+                np.add(delta, t_in, out=w1)
+                w1 /= b
+                np.subtract(1.0, w1, out=w1)
+                np.multiply(w1, k_in, out=prod)
+                delta /= prod
+            np.add(delta, t_mid, out=w1)
+            np.multiply(w1, w1, out=s_w)
+            s_w += c2
+            np.sqrt(s_w, out=s_w)
+            im = s_w.imag
+            if (im.min() > 0.0) if f_t > 0 else (im.max() < 0.0):
+                # every point keeps the anchor's branch: only the
+                # cancellation-free form is needed, its sign f_t folded
+                # into the denominator
+                w1 += t_mid
+                np.multiply(delta, w1, out=prod)
+                if f_t > 0:
+                    s_w += s_t
+                else:
+                    np.subtract(-s_t, s_w, out=s_w)
+                np.divide(prod, s_w, out=delta)
+            else:
+                f_w = np.where(_flip(s_w, w1), -1.0, 1.0)
+                delta = np.where(
+                    f_w == f_t,
+                    f_w * delta * (w1 + t_mid) / (s_w + s_t),
+                    f_w * s_w - t_out,
+                )
         t = self.t_pre_close
         w_full = t + delta
         delta = delta / ((1.0 - w_full / self.zeta_close) * (1.0 - t / self.zeta_close))

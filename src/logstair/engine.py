@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, WrongBasePoint
 from .paths import PathPolyline, _segment_angle, _segment_origin_distance, lift_log
-from .series import DEFAULT_ORDER, STEP_SAFETY, AGREE_TOL, Germ, h_germ, log_germ, recenter
+from .series import DEFAULT_ORDER, STEP_SAFETY, Germ, h_germ, log_germ, recenter
 from .staircase import GEOM_TOL, TWO_PI, in_interior
 
 RADIUS_FLOOR = 1e-4
@@ -32,7 +32,6 @@ class EngineOptions:
     step_safety: float = STEP_SAFETY
     radius_floor: float = RADIUS_FLOOR
     max_steps: int = MAX_STEPS
-    agree_tol: float = AGREE_TOL
 
     def validate(self) -> None:
         if self.order < 1:

@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyPath, SegmentThroughOrigin
 
-LIFT_TOL = 1e-10
-
 # Snap tolerance for the floor in winding_number: protects exact k-fold loops
 # from being pushed to k-1 by last-bit rounding in the angle accumulation.
 _FLOOR_EPS = 1e-9
@@ -150,12 +148,15 @@ def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
 
     The starting branch is the argument of the first point shifted by the
     multiple of 2*pi that lands nearest start_branch_im (for a path starting
-    on the positive real axis that is start_branch_im itself).  This keeps
+    on the positive real axis that is start_branch_im itself).  A request
+    exactly halfway between two branches takes the higher one, so shifting
+    the request by 2*pi*k shifts the lift by exactly 2*pi*k.  This keeps
     exp(lift) == path exact at every vertex, whatever the start's argument.
     """
     pts = path.points
     a0 = cmath.phase(pts[0])
-    theta = a0 + 2.0 * math.pi * round((start_branch_im - a0) / (2.0 * math.pi))
+    turns = math.floor((start_branch_im - a0) / (2.0 * math.pi) + 0.5)
+    theta = a0 + 2.0 * math.pi * turns
     lifted = [complex(math.log(abs(pts[0])), theta)]
     for a, b in zip(pts, pts[1:]):
         theta += _segment_angle(a, b)

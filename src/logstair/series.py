@@ -26,7 +26,6 @@ from .errors import (
 
 DEFAULT_ORDER = 64
 STEP_SAFETY = 0.5
-AGREE_TOL = 1e-7
 COEFF_TOL = 1e-12
 
 # log of the largest magnitude allowed for a single series term; sums of
@@ -140,13 +139,15 @@ def h_germ(z0, order: int = DEFAULT_ORDER, coeff_tol: float = COEFF_TOL) -> Germ
         lr = math.log(r)
         ph = cmath.phase(z0)
         log_tol = math.log(coeff_tol)
+        lg_k = [lgamma(k + 1) for k in range(order + 1)]
         nu = 0
         prev_top = math.inf
         while True:
             n = 1 << nu
+            lg_n = lgamma(n + 1)
             top = -math.inf
             for k in range(min(order, n) + 1):
-                lt = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1) + (n - k) * lr
+                lt = lg_n - lg_k[k] - lgamma(n - k + 1) + (n - k) * lr
                 if lt > _LOG_HUGE:
                     raise OutsideDisc(
                         f"coefficient magnitude exp({lt:.0f}) exceeds double "
@@ -230,10 +231,16 @@ def compose(outer: Germ, inner: Germ) -> Germ:
 
 
 def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:
-    coeffs_desc = mag[::-1]
+    """Largest r <= inner_radius with sum mag[k] r^k <= outer_radius, by
+    bisection.  The polynomial is evaluated by a plain-float Horner loop:
+    at order 64 a numpy call per evaluation costs far more than the sum."""
+    coeffs_desc = np.asarray(mag, dtype=float)[::-1].tolist()
 
     def reach(rr: float) -> float:
-        return float(np.polyval(coeffs_desc, rr))
+        acc = 0.0
+        for m in coeffs_desc:
+            acc = acc * rr + m
+        return acc
 
     hi = inner_radius
     if not math.isfinite(hi):
@@ -245,6 +252,8 @@ def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:
     lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent doubles: no later step moves them
         if reach(mid) <= outer_radius:
             lo = mid
         else:

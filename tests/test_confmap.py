@@ -15,7 +15,9 @@ from logstair import (
     f_germ_at_base,
     lift_log,
     psi_eval,
+    continue_along,
     quality_report,
+    reach_path,
     validate_path,
 )
 
@@ -157,3 +159,17 @@ class TestFGerm:
         assert not report.chain.completed
         assert report.oracle.verdict == "blocked"
         assert abs(report.chain.t_fail - report.oracle.first_exit_t) < 0.02
+
+
+class TestRefreshPath:
+    """Routed continuation with FRefresh: pins the step count and the final
+    value, so a change to the refresh arithmetic that moves an answer shows."""
+
+    @pytest.mark.parametrize("target, steps", [(-0.5, 22), (-1j, 47)])
+    def test_routed_chain(self, cmap, fgerm, target, steps):
+        path = reach_path(target)
+        chain = continue_along(fgerm, path, refresh=FRefresh(cmap))
+        assert chain.completed
+        assert len(chain.elements) - 1 == steps
+        expected = eval_h(psi_eval(cmap, lift_log(path).end))
+        assert abs(chain.final.coeffs[0] - expected) < 1e-6

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logstair import (
@@ -170,6 +170,7 @@ def test_refinement_invariance(pts):
 
 
 @given(polylines, st.integers(-3, 3), st.floats(-10.0, 10.0))
+@example(pts=[-1 + 1.2e-16j, 1], k=1, branch=0.0)  # request exactly between two branches
 @settings(max_examples=100, deadline=None)
 def test_lift_branch_behaviour(pts, k, branch):
     path = _safe(pts)

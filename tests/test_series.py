@@ -20,6 +20,7 @@ from logstair import (
     log_germ,
     recenter,
 )
+from logstair.series import _composed_radius
 
 # Reference values for the gap series H(z) = sum_{nu>=0} z^(2^nu), computed
 # with 40-digit arithmetic (mpmath) and rounded to double precision.
@@ -265,3 +266,40 @@ def test_h_germ_evaluation_consistency(r, a):
     w = z0 * (1.0 + 0.05j)
     if abs(w - z0) < 0.3 * g.radius_est and abs(w) < 0.95:
         assert abs(g.eval(w) - eval_h(w)) < 1e-7
+
+
+def _composed_radius_polyval(mag, outer_radius, inner_radius):
+    """Reference: the composed-radius bisection evaluated with np.polyval."""
+    coeffs_desc = mag[::-1]
+
+    def reach(rr):
+        return float(np.polyval(coeffs_desc, rr))
+
+    hi = inner_radius
+    if not math.isfinite(hi):
+        hi = 1.0
+        while reach(hi) <= outer_radius and hi < 1e12:
+            hi *= 2.0
+    if reach(hi) <= outer_radius:
+        return hi
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if reach(mid) <= outer_radius:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@given(
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=65),
+    st.floats(1e-3, 1e3),
+    st.one_of(st.floats(1e-4, 10.0), st.just(math.inf)),
+)
+@settings(max_examples=200, deadline=None)
+def test_composed_radius_matches_polyval_bisection(mag, outer_radius, inner_radius):
+    mag = np.asarray(mag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _composed_radius_polyval(mag, outer_radius, inner_radius)
+    assert _composed_radius(mag, outer_radius, inner_radius) == expected
