@@ -20,7 +20,7 @@ from .errors import LogstairError
 from .monodromy import classify, expexp_demo, reach_path, truth_table
 from .paths import lift_log, validate_path, winding_number
 from .series import DEFAULT_ORDER, h_germ, log_germ
-from .staircase import Truncation
+from .staircase import GEOM_TOL, Truncation
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
@@ -123,7 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, path=False, omega=False, mn=False, trunc=False):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--geom-tol", type=float, default=1e-9)
         p.add_argument("--out", default=None)
         if path:
             p.add_argument("--path", required=True, metavar="FILE.json")
@@ -150,6 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact continuability verdict for a path")
     common(p, path=True)
+    p.add_argument("--geom-tol", type=float, default=GEOM_TOL)
 
     p = sub.add_parser("classify", help="slit-target verdict for (omega, M, N)")
     common(p, omega=True, mn=True)

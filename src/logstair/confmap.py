@@ -90,9 +90,11 @@ class ConformalMap:
         t = 1j * complex(np.sqrt(complex((base - self.v1) / (base - self.v0))))
         if t.imag < 0:
             t = -t
-        # per absorbed node: (b, k_in, t_in, t_mid, c2, s_t, t_out, f_t), with
-        # k_in = 1 - t_in/b (None when b is infinite) and s_t = f_t * t_out,
-        # the unflipped square root at the anchor
+        # per absorbed node, only what _eval_raw reads:
+        # (k_in^2, -k_in/b, 2 t_mid, s_t^2, s_t, t_mid, t_out, f_t), with
+        # k_in = 1 - t_in/b (k_in^2 is None when b is infinite) and s_t the
+        # unflipped square root at the anchor, s_t^2 = t_mid^2 + c2 its radicand
+        self.t_start = t
         steps = []
         v0_img = None  # image of v0 (starts at infinity under the initial map)
         for k in range(len(w)):
@@ -104,13 +106,16 @@ class ConformalMap:
             absq = a.real * a.real + a.imag * a.imag
             b = absq / a.real if a.real != 0.0 else math.inf
             c2 = (absq / a.imag) ** 2
-            t_in = t
-            t_mid = t if math.isinf(b) else t / (1.0 - t / b)
-            s_t = complex(np.sqrt(complex(t_mid * t_mid + c2)))
+            if math.isinf(b):
+                t_mid, kk, mk = t, None, None
+            else:
+                k_in = 1.0 - t / b
+                t_mid, kk, mk = t / k_in, k_in * k_in, -k_in / b
+            sq = t_mid * t_mid + c2
+            s_t = complex(np.sqrt(complex(sq)))
             f_t = -1.0 if _flip(s_t, t_mid) else 1.0
             t_out = f_t * s_t
-            k_in = None if math.isinf(b) else 1.0 - t_in / b
-            steps.append((b, k_in, t_in, t_mid, c2, f_t * t_out, t_out, f_t))
+            steps.append((kk, mk, 2.0 * t_mid, sq, s_t, t_mid, t_out, f_t))
             t = t_out
             if not math.isinf(b):
                 w = w / (1.0 - w / b)
@@ -145,41 +150,40 @@ class ConformalMap:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         w = 1j * np.sqrt((z - self.v1) / (z - self.v0))
         w = np.where(w.imag < 0, -w, w)
-        delta = w - self.steps[0][2]
+        delta = w - self.t_start
         # scratch buffers; no product is written over one of its factors,
         # which for one-point arrays would change numpy's rounding
-        w1 = np.empty_like(delta)
+        u = np.empty_like(delta)
         s_w = np.empty_like(delta)
         prod = np.empty_like(delta)
-        for b, k_in, t_in, t_mid, c2, s_t, t_out, f_t in self.steps:
-            if k_in is not None:
-                np.add(delta, t_in, out=w1)
-                w1 /= b
-                np.subtract(1.0, w1, out=w1)
-                np.multiply(w1, k_in, out=prod)
-                delta /= prod
-            np.add(delta, t_mid, out=w1)
-            np.multiply(w1, w1, out=s_w)
-            s_w += c2
+        for kk, mk, two_t_mid, sq, s_t, t_mid, t_out, f_t in self.steps:
+            if kk is not None:
+                # Moebius step: delta / (k_in^2 - (k_in/b) delta)
+                np.multiply(delta, mk, out=u)
+                u += kk
+                delta /= u
+            # slit step: with w = t_mid + delta, w^2 + c2 = s_t^2 + prod
+            np.add(delta, two_t_mid, out=u)
+            np.multiply(delta, u, out=prod)
+            np.add(prod, sq, out=s_w)
             np.sqrt(s_w, out=s_w)
-            im = s_w.imag
-            if (im.min() > 0.0) if f_t > 0 else (im.max() < 0.0):
+            if (
+                np.minimum.reduce(s_w.imag) > 0.0
+                if f_t > 0
+                else np.maximum.reduce(s_w.imag) < 0.0
+            ):
                 # every point keeps the anchor's branch: only the
                 # cancellation-free form is needed, its sign f_t folded
                 # into the denominator
-                w1 += t_mid
-                np.multiply(delta, w1, out=prod)
                 if f_t > 0:
                     s_w += s_t
                 else:
                     np.subtract(-s_t, s_w, out=s_w)
                 np.divide(prod, s_w, out=delta)
             else:
-                f_w = np.where(_flip(s_w, w1), -1.0, 1.0)
+                f_w = np.where(_flip(s_w, delta + t_mid), -1.0, 1.0)
                 delta = np.where(
-                    f_w == f_t,
-                    f_w * delta * (w1 + t_mid) / (s_w + s_t),
-                    f_w * s_w - t_out,
+                    f_w == f_t, f_w * prod / (s_w + s_t), f_w * s_w - t_out
                 )
         t = self.t_pre_close
         w_full = t + delta

@@ -44,15 +44,23 @@ def boundary_distance(z: complex) -> float:
     """Euclidean distance from z to the boundary of the staircase interior.
 
     The boundary consists of the floor segments [n, n+1] x {2*pi*n} and the
-    riser segments {n} x [2*pi*(n-1), 2*pi*n].  Only finitely many of them
-    can be nearest: their indices lie between the column of z and the level
-    index of z's height.
+    riser segments {n} x [2*pi*(n-1), 2*pi*n].  Its corners (n, 2*pi*n) lie on
+    the line y = 2*pi*x and all of it lies in the strip down to
+    y = 2*pi*x - 2*pi, so the nearest segment is within two indices of
+    n* = floor((x + 2*pi*y) / (1 + 4*pi^2)), the corner nearest to z's
+    projection onto that line.  The search scans the union of the windows of
+    +-2 around n*, z's column and its height's level.  n* lies between the
+    other two, so a call never scans more than the levels from z's column to
+    its height's level, widened by two.
     """
     x, y = z.real, z.imag
-    n_lo = min(math.floor(x), math.floor(y / TWO_PI)) - 2
-    n_hi = max(math.ceil(x), math.ceil(y / TWO_PI)) + 2
+    centers = (
+        math.floor(x),
+        math.floor(y / TWO_PI),
+        math.floor((x + TWO_PI * y) / (1.0 + TWO_PI * TWO_PI)),
+    )
     best = math.inf
-    for n in range(n_lo, n_hi + 1):
+    for n in {n for c in centers for n in range(c - 2, c + 3)}:
         floor_y = TWO_PI * n
         best = min(best, _seg_dist(z, complex(n, floor_y), complex(n + 1, floor_y)))
         best = min(best, _seg_dist(z, complex(n, floor_y - TWO_PI), complex(n, floor_y)))

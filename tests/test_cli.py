@@ -120,6 +120,15 @@ class TestOracle:
         expected = complex(math.log(2), TWO_PI)
         assert parse_pair(grab(out, "lift_end")) == pytest.approx(expected, abs=1e-9)
 
+    def test_geom_tol_widens_base_point_match(self, capsys, tmp_path):
+        path = write_path(tmp_path, "offbase.json", [0.5 + 1e-7, 2])
+        code, _, err = run(capsys, "oracle", "--path", path)
+        assert code == 1
+        assert "WrongBasePoint" in err
+        code, out, _ = run(capsys, "oracle", "--path", path, "--geom-tol", "1e-6")
+        assert code == 0
+        assert grab(out, "verdict") == "blocked"
+
 
 class TestClassify:
     def test_continuable_with_witness(self, capsys, tmp_path):
@@ -265,6 +274,10 @@ class TestMapCommands:
 class TestUsageErrors:
     def test_unknown_flag(self, capsys, segment_file):
         code, _, _ = run(capsys, "wind", "--path", segment_file, "--bogus")
+        assert code == 2
+
+    def test_geom_tol_only_on_oracle(self, capsys, segment_file):
+        code, _, _ = run(capsys, "wind", "--path", segment_file, "--geom-tol", "1e-9")
         assert code == 2
 
     def test_missing_required(self, capsys):

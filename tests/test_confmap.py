@@ -20,6 +20,7 @@ from logstair import (
     reach_path,
     validate_path,
 )
+from logstair.confmap import _flip, _interior_grid
 
 TWO_PI = 2.0 * math.pi
 BASE = complex(math.log(0.5), 0.0)
@@ -173,3 +174,153 @@ class TestRefreshPath:
         assert len(chain.elements) - 1 == steps
         expected = eval_h(psi_eval(cmap, lift_log(path).end))
         assert abs(chain.final.coeffs[0] - expected) < 1e-6
+
+
+def _reference_steps(cmap):
+    """Per-node step tuples (b, k_in, t_in, t_mid, c2, s_t, t_out, f_t) of the
+    unfused anchored evaluation, rebuilt from the map's nodes the way the
+    construction computes them."""
+    w = 1j * np.sqrt((cmap.nodes[2:] - cmap.v1) / (cmap.nodes[2:] - cmap.v0))
+    w = np.where(w.imag < 0, -w, w)
+    t = cmap.t_start
+    steps = []
+    for k in range(len(w)):
+        a = complex(w[k])
+        absq = a.real * a.real + a.imag * a.imag
+        b = absq / a.real if a.real != 0.0 else math.inf
+        c2 = (absq / a.imag) ** 2
+        t_mid = t if math.isinf(b) else t / (1.0 - t / b)
+        s_t = complex(np.sqrt(complex(t_mid * t_mid + c2)))
+        f_t = -1.0 if _flip(s_t, t_mid) else 1.0
+        t_out = f_t * s_t
+        k_in = None if math.isinf(b) else 1.0 - t / b
+        steps.append((b, k_in, t, t_mid, c2, s_t, t_out, f_t))
+        t = t_out
+        if not math.isinf(b):
+            w = w / (1.0 - w / b)
+        s = np.sqrt(w * w + c2)
+        w = np.where(_flip(s, w), -s, s)
+    return steps
+
+
+def _reference_eval(cmap, steps, z):
+    """The unfused anchored loop (five calls per Moebius step, eight per slit
+    step), kept as the reference for the fused one.  Returns the values and
+    the number of steps at which the points did not all keep the anchor's
+    branch."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = 1j * np.sqrt((z - cmap.v1) / (z - cmap.v0))
+    w = np.where(w.imag < 0, -w, w)
+    delta = w - steps[0][2]
+    w1 = np.empty_like(delta)
+    s_w = np.empty_like(delta)
+    prod = np.empty_like(delta)
+    mixed = 0
+    for b, k_in, t_in, t_mid, c2, s_t, t_out, f_t in steps:
+        if k_in is not None:
+            np.add(delta, t_in, out=w1)
+            w1 /= b
+            np.subtract(1.0, w1, out=w1)
+            np.multiply(w1, k_in, out=prod)
+            delta /= prod
+        np.add(delta, t_mid, out=w1)
+        np.multiply(w1, w1, out=s_w)
+        s_w += c2
+        np.sqrt(s_w, out=s_w)
+        im = s_w.imag
+        if (im.min() > 0.0) if f_t > 0 else (im.max() < 0.0):
+            w1 += t_mid
+            np.multiply(delta, w1, out=prod)
+            if f_t > 0:
+                s_w += s_t
+            else:
+                np.subtract(-s_t, s_w, out=s_w)
+            np.divide(prod, s_w, out=delta)
+        else:
+            mixed += 1
+            f_w = np.where(_flip(s_w, w1), -1.0, 1.0)
+            delta = np.where(
+                f_w == f_t,
+                f_w * delta * (w1 + t_mid) / (s_w + s_t),
+                f_w * s_w - t_out,
+            )
+    t = cmap.t_pre_close
+    w_full = t + delta
+    delta = delta / ((1.0 - w_full / cmap.zeta_close) * (1.0 - t / cmap.zeta_close))
+    w_full = cmap.t_close + delta
+    delta = -delta * (w_full + cmap.t_close)
+    w_full = cmap.t_final + delta
+    return cmap.rot * delta / (w_full - np.conj(cmap.t_final)), mixed
+
+
+class TestFusedEvaluation:
+    """The fused anchored loop against the unfused reference above.
+
+    Points whose reference image lies within 1e-6 of the unit circle are left
+    out: boundary nodes and crowded pockets (such as -1.051-12.515i on the
+    512-node map) sit there, the sign of a square root's imaginary part can
+    flip under a last-bit change, and both versions then give |psi| = 1 to
+    double precision at different places on the circle."""
+
+    MAPS = [
+        ((-2, 2, 8 * math.pi), 256),
+        ((-2, 2, 8 * math.pi), 512),
+        ((-1, 1, 6 * math.pi), 128),
+        ((-1, 3, 10 * math.pi), 256),
+    ]
+
+    @staticmethod
+    def check(ref, got):
+        margin = 1.0 - np.abs(ref)
+        err = np.abs(got - ref)
+        assert np.all(err[margin > 1e-4] <= 1e-9)
+        assert np.all(err[margin > 1e-2] <= 1e-12)
+
+    @pytest.fixture(
+        scope="class",
+        params=MAPS,
+        ids=["-2:2:8pi@256", "-2:2:8pi@512", "-1:1:6pi@128", "-1:3:10pi@256"],
+    )
+    def fused_map(self, request):
+        spec, resolution = request.param
+        cmap = build_map(Truncation(*spec), resolution)
+        return cmap, _reference_steps(cmap)
+
+    @staticmethod
+    def interior_points(trunc, count, seed):
+        rng = np.random.default_rng(seed)
+        pts = []
+        while len(pts) < count:
+            z = complex(
+                rng.uniform(trunc.n_min, trunc.n_max + 1),
+                rng.uniform(TWO_PI * trunc.n_min, trunc.y_max),
+            )
+            if trunc.contains(z):
+                pts.append(z)
+        return pts
+
+    def test_rings(self, fused_map):
+        # the 256-point ring local_model samples at the default order
+        cmap, steps = fused_map
+        trunc = cmap.truncation
+        th = TWO_PI * np.arange(256) / 256
+        mixed = 0
+        for zeta in [BASE] + self.interior_points(trunc, 8, seed=2007):
+            ring = zeta + 0.5 * trunc.boundary_distance(zeta) * np.exp(1j * th)
+            ref, n_mixed = _reference_eval(cmap, steps, ring)
+            self.check(ref, cmap._eval_raw(ring))
+            mixed += n_mixed
+        # the np.where merge of both branches ran
+        assert mixed > 0
+
+    def test_interior_grid(self, fused_map):
+        cmap, steps = fused_map
+        grid = _interior_grid(cmap.truncation)
+        ref, _ = _reference_eval(cmap, steps, grid)
+        self.check(ref, cmap._eval_raw(grid))
+
+    def test_scalar_eval(self, fused_map):
+        cmap, steps = fused_map
+        for z in [BASE] + self.interior_points(cmap.truncation, 24, seed=45):
+            ref, _ = _reference_eval(cmap, steps, z)
+            self.check(ref, np.asarray([cmap.eval(z)]))

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logstair import (
@@ -13,6 +13,7 @@ from logstair import (
     in_interior,
     slit_contains,
 )
+from logstair.staircase import _seg_dist
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -182,3 +183,31 @@ def test_lift_target_section(r, a):
     zeta = choose_lift_target(omega)
     assert in_interior(zeta)
     assert abs(cmath.exp(zeta) - omega) < 1e-9 * max(1.0, r)
+
+
+def _boundary_distance_loop(z):
+    """Distance to the staircase boundary by scanning every level between
+    z's column and its height's level; the reference for the windowed
+    search in boundary_distance."""
+    x, y = z.real, z.imag
+    n_lo = min(math.floor(x), math.floor(y / TWO_PI)) - 2
+    n_hi = max(math.ceil(x), math.ceil(y / TWO_PI)) + 2
+    best = math.inf
+    for n in range(n_lo, n_hi + 1):
+        floor_y = TWO_PI * n
+        best = min(best, _seg_dist(z, complex(n, floor_y), complex(n + 1, floor_y)))
+        best = min(best, _seg_dist(z, complex(n, floor_y - TWO_PI), complex(n, floor_y)))
+    return best
+
+
+@given(
+    st.one_of(
+        points,
+        st.builds(complex, st.floats(-60.0, 60.0), st.floats(-600.0, 600.0)),
+    )
+)
+@example(z=1e6j)  # the column and level windows alone give 159153.0
+@example(z=0.5 + 1000j)
+@settings(max_examples=300, deadline=None)
+def test_boundary_distance_matches_level_scan(z):
+    assert boundary_distance(z) == _boundary_distance_loop(z)
