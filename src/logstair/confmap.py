@@ -243,23 +243,18 @@ def f_germ_at_base(cmap: ConformalMap, order: int = DEFAULT_ORDER) -> Germ:
 
 
 class FRefresh:
-    """Stateful rebuilder of the h(psi(log z)) germ for the continuation
-    engine: tracks the continued log branch from center to center and
-    reassembles the composition at each new center."""
+    """Rebuilder of the h(psi(log z)) germ for the continuation engine:
+    reassembles the composition at each new center on the log branch given
+    by the path's lift there.  Holds no state, so one object serves any
+    number of runs."""
 
     def __init__(self, cmap: ConformalMap, order: int = DEFAULT_ORDER):
         self.cmap = cmap
         self.order = order
-        self.prev_z = 0.5 + 0j
-        self.prev_lift = BASE_LIFT
 
-    def __call__(self, center: complex, hint: complex) -> Germ:
-        z = complex(center)
-        zeta = self.prev_lift + np.log(complex(z / self.prev_z))
-        self.prev_z = z
-        self.prev_lift = zeta
-        lam = log_germ(z, zeta.imag, self.order)
-        mid = compose(self.cmap.local_model(zeta, self.order), lam)
+    def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
+        lam = log_germ(center, lift.imag, self.order)
+        mid = compose(self.cmap.local_model(lift, self.order), lam)
         return compose(h_germ(mid.coeffs[0], self.order), mid)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, WrongBasePoint
-from .paths import PathPolyline, _segment_angle, _segment_origin_distance, lift_log
+from .paths import PathPolyline, lift_at, lift_point
 from .series import DEFAULT_ORDER, STEP_SAFETY, Germ, h_germ, log_germ, recenter
-from .staircase import GEOM_TOL, TWO_PI, in_interior
+from .staircase import GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
 RADIUS_FLOOR = 1e-4
 MAX_STEPS = 100_000
@@ -81,9 +81,9 @@ class CrosscheckReport:
 def _auto_refresh(start: Germ):
     order = start.order
     if start.provenance == "log":
-        return lambda center, hint: log_germ(center, hint.imag, order)
+        return lambda center, lift, hint: log_germ(center, hint.imag, order)
     if start.provenance == "h":
-        return lambda center, hint: h_germ(center, order)
+        return lambda center, lift, hint: h_germ(center, order)
     return None
 
 
@@ -128,16 +128,19 @@ def continue_along(
     start: Germ,
     path: PathPolyline,
     opts: Optional[EngineOptions] = None,
-    refresh: Optional[Callable[[complex, complex], Germ]] = None,
+    refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
 ) -> ContinuationChain:
     """Continue `start` along `path` by steps of at most step_safety times the
     current radius estimate.
 
-    Each step evaluates the current germ at the next center; `refresh` (or a
-    provenance-derived default for log/h germs) rebuilds an authoritative germ
-    there from that value, falling back to a Taylor shift when nothing better
-    is known.  Failure means the radius estimate dropped below radius_floor or
-    the step budget ran out; t_fail is the furthest parameter reached.
+    Each step rebuilds an authoritative germ at the next center with
+    `refresh(center, lift, hint)` (or a provenance-derived default for log/h
+    germs), where lift is lift_at(path, t) at that center and hint is the
+    current germ's value there; a Taylor shift is the fallback when nothing
+    better is known.  A hook is a pure function of its arguments, so one hook
+    serves any number of runs.  Failure means the radius estimate dropped
+    below radius_floor or the step budget ran out; t_fail is the furthest
+    parameter reached.
     """
     opts = opts if opts is not None else EngineOptions()
     opts.validate()
@@ -171,10 +174,10 @@ def continue_along(
         if not t_next > t:
             return _failed("no forward progress along the path")
         center = path.point_at(t_next)
-        hint = g.eval(center)
         if refresh is not None:
+            lift, hint = lift_at(path, t_next), g.eval(center)
             try:
-                g_next = refresh(center, hint)
+                g_next = refresh(center, lift, hint)
             except LogstairError as exc:
                 return _failed(f"refresh failed: {exc}")
         else:
@@ -183,26 +186,6 @@ def continue_along(
         breaks.append(t_next)
         g = g_next
         t = t_next
-
-
-def lift_at(path: PathPolyline, t: float) -> complex:
-    """Continuous-logarithm lift of path(t), start branch 0."""
-    lifted = lift_log(path, 0.0).points
-    pts = path.points
-    total = path.total_length
-    if total == 0.0 or t <= 0.0:
-        return lifted[0]
-    target = min(t, 1.0) * total
-    cum = path._cumlen
-    i = bisect.bisect_left(cum, target, 1) - 1
-    i = min(i, len(pts) - 2)
-    seg = cum[i + 1] - cum[i]
-    if seg == 0.0:
-        return lifted[i]
-    s = (target - cum[i]) / seg
-    a, b = pts[i], pts[i + 1]
-    z = a + s * (b - a)
-    return complex(math.log(abs(z)), lifted[i].imag + _segment_angle(a, z))
 
 
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:
@@ -217,7 +200,7 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     """
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
-    lifted = lift_log(path, 0.0).points
+    lifted = path._lift
     lift_end = lifted[-1]
     pts = path.points
     cum = path._cumlen
@@ -228,40 +211,34 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
 
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        seg = abs(b - a)
+        d = b - a
+        seg = abs(d)
         if seg == 0.0:
             continue
         theta_a = lifted[i].imag
-        arc_bound = seg / _segment_origin_distance(a, b)
+        arc_bound = seg / _seg_dist(0j, a, b)
         n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
-
-        def zeta(s: float) -> complex:
-            z = a + s * (b - a)
-            return complex(math.log(abs(z)), theta_a + _segment_angle(a, z))
-
         s_prev = 0.0
         for j in range(1, n_sub + 1):
             s_bad = j / n_sub
-            if in_interior(zeta(s_bad), geom_tol):
+            if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
                 s_prev = s_bad
                 continue
             lo, hi = s_prev, s_bad
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if in_interior(zeta(mid), geom_tol):
+                if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
                     lo = mid
                 else:
                     hi = mid
             # nudge just past the flip so the reported parameter stays
             # non-interior under recomputation
             s_exit = hi + (s_bad - hi) * 1e-6
-            exit_zeta = zeta(s_exit)
+            exit_zeta = lift_point(a, theta_a, a + s_exit * d)
             t_exit = (cum[i] + s_exit * seg) / total
-            m = round(exit_zeta.real)
-            corner = complex(m, TWO_PI * m)
+            corner = corner_at(exit_zeta, 2.0 * geom_tol)
             terminal = (
-                abs(exit_zeta - corner) <= 2.0 * geom_tol
-                and abs(lift_end - corner) <= 2.0 * geom_tol
+                corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
             )
             return OracleVerdict("corner" if terminal else "blocked", t_exit, lift_end)
 
@@ -288,7 +265,7 @@ def crosscheck(
     path: PathPolyline,
     f_germ: Germ,
     opts: Optional[EngineOptions] = None,
-    refresh: Optional[Callable[[complex, complex], Germ]] = None,
+    refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
     cross_tol: float = CROSS_TOL,
 ) -> CrosscheckReport:
     """Run the numeric engine and the exact oracle on the same path and

@@ -29,6 +29,8 @@ from .staircase import (
     TWO_PI,
     boundary_distance,
     choose_lift_target,
+    column,
+    corner_at,
     in_interior,
     slit_contains,
 )
@@ -74,13 +76,6 @@ class ExpExpReport:
         return self.branch_b.final.coeffs[0]
 
 
-def _column(x: float, tol: float = GEOM_TOL) -> int:
-    m = round(x)
-    if abs(x - m) <= tol:
-        return m
-    return math.floor(x)
-
-
 def _route_lift(target: complex, clearance: float = ROUTE_CLEARANCE):
     """Waypoints from the base lift point to `target` inside the staircase.
 
@@ -92,9 +87,9 @@ def _route_lift(target: complex, clearance: float = ROUTE_CLEARANCE):
     """
     x0, y0 = _BASE_LIFT.real, _BASE_LIFT.imag
     xt, yt = target.real, target.imag
-    c0 = _column(x0)
-    ct = _column(xt)
-    on_glue = abs(xt - round(xt)) <= GEOM_TOL
+    c0 = column(x0)
+    ct = column(xt)
+    on_glue = abs(xt - ct) <= GEOM_TOL  # column() snapped xt onto glue line ct
     pts = [complex(x0, y0)]
     x_cur, y_cur = x0, y0
 
@@ -195,8 +190,7 @@ def reach_path(omega) -> PathPolyline:
 
 
 def _verdict_of(lift_end: complex, tol: float = GEOM_TOL) -> str:
-    m = round(lift_end.real)
-    if abs(lift_end - complex(m, TWO_PI * m)) <= tol:
+    if corner_at(lift_end, tol) is not None:
         return "corner"
     return "continuable" if in_interior(lift_end, tol) else "blocked"
 
@@ -254,23 +248,19 @@ def truth_table(m_range, n_offsets, samples_per_slit: int) -> TruthTable:
 
 
 class _LogLogRefresh:
-    """Engine refresh hook for log(log z) germs: the inner branch is tracked
-    by accumulating principal ratio arguments, the outer branch comes from
-    the engine's continued value at the new center."""
+    """Engine refresh hook for log(log z) germs: the inner log is the path's
+    lift shifted by inner_branch_im, the outer branch comes from the engine's
+    continued value at the new center."""
 
-    def __init__(self, z_start, inner_branch_im: float, order: int = DEFAULT_ORDER):
-        self.prev_z = complex(z_start)
-        self.prev_inner = complex(math.log(abs(self.prev_z)), inner_branch_im)
+    def __init__(self, inner_branch_im: float, order: int = DEFAULT_ORDER):
+        self.inner_branch_im = inner_branch_im
         self.order = order
 
-    def __call__(self, center: complex, hint: complex) -> Germ:
-        z = complex(center)
-        inner = self.prev_inner + cmath.log(z / self.prev_z)
-        self.prev_z = z
-        self.prev_inner = inner
+    def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
+        inner = lift + complex(0.0, self.inner_branch_im)
         return compose(
             log_germ(inner, hint.imag, self.order),
-            log_germ(z, inner.imag, self.order),
+            log_germ(center, inner.imag, self.order),
         )
 
 
@@ -289,7 +279,7 @@ def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
     ell1 = log_germ(cmath.e, 0.0, order)
     ell2 = log_germ(1.0, 0.0, order)
     branch_a = continue_along(
-        compose(ell2, ell1), gamma, refresh=_LogLogRefresh(cmath.e, 0.0, order)
+        compose(ell2, ell1), gamma, refresh=_LogLogRefresh(0.0, order)
     )
 
     prep = continue_along(ell2, validate_path([1.0, complex(1.0, TWO_PI)]))
@@ -300,6 +290,6 @@ def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
     branch_b = continue_along(
         compose(ell2_shifted, ell3),
         gamma,
-        refresh=_LogLogRefresh(cmath.e, TWO_PI, order),
+        refresh=_LogLogRefresh(TWO_PI, order),
     )
     return ExpExpReport(gamma, branch_a, branch_b)

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import EmptyPath, SegmentThroughOrigin
+from .staircase import _seg_dist
 
 # Snap tolerance for the floor in winding_number: protects exact k-fold loops
 # from being pushed to k-1 by last-bit rounding in the angle accumulation.
@@ -28,17 +29,6 @@ def _as_complex(p) -> complex:
         return complex(p)
     re, im = p
     return complex(re, im)
-
-
-def _segment_origin_distance(a: complex, b: complex) -> float:
-    """Distance from the segment [a, b] to 0, by projection."""
-    d = b - a
-    L2 = d.real * d.real + d.imag * d.imag
-    if L2 == 0.0:
-        return abs(a)
-    t = -(a.real * d.real + a.imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d)
 
 
 @dataclass(frozen=True)
@@ -66,15 +56,19 @@ class PathPolyline:
     def total_length(self) -> float:
         return self._cumlen[-1]
 
-    def point_at(self, t: float) -> complex:
-        """Point at chord-length fraction t in [0, 1]."""
-        pts = self.points
-        if len(pts) == 1:
-            return pts[0]
+    @cached_property
+    def _lift(self) -> tuple:
+        """Continuous log lift at the vertices, start branch 0."""
+        return lift_log(self).points
+
+    def _locate(self, t: float):
+        """(i, u): the point at chord-length fraction t lies at fraction u of
+        the segment from vertex i; u is None when it is vertex i itself
+        (a one-point path, zero total length, or a zero-length segment)."""
         acc = self._cumlen
         total = acc[-1]
         if total == 0.0:
-            return pts[0]
+            return 0, None
         s = min(1.0, max(0.0, t)) * total
         # find the segment containing arc length s
         lo, hi = 0, len(acc) - 1
@@ -86,9 +80,25 @@ class PathPolyline:
                 hi = mid
         seg_len = acc[lo + 1] - acc[lo]
         if seg_len == 0.0:
-            return pts[lo]
-        u = (s - acc[lo]) / seg_len
-        return pts[lo] + u * (pts[lo + 1] - pts[lo])
+            return lo, None
+        return lo, (s - acc[lo]) / seg_len
+
+    def point_at(self, t: float) -> complex:
+        """Point at chord-length fraction t in [0, 1]."""
+        i, u = self._locate(t)
+        if u is None:
+            return self.points[i]
+        a = self.points[i]
+        return a + u * (self.points[i + 1] - a)
+
+
+def lift_at(path: PathPolyline, t: float) -> complex:
+    """Continuous-logarithm lift of path(t), start branch 0."""
+    i, u = path._locate(t)
+    if u is None:
+        return path._lift[i]
+    a = path.points[i]
+    return lift_point(a, path._lift[i].imag, a + u * (path.points[i + 1] - a))
 
 
 @dataclass(frozen=True)
@@ -126,21 +136,22 @@ def validate_path(points: Iterable) -> PathPolyline:
         if p == 0:
             raise SegmentThroughOrigin(max(i - 1, 0))
     for i in range(len(pts) - 1):
-        if _segment_origin_distance(pts[i], pts[i + 1]) <= 0.0:
+        if _seg_dist(0j, pts[i], pts[i + 1]) <= 0.0:
             raise SegmentThroughOrigin(i)
     return PathPolyline(pts)
 
 
-def _segment_angle(a: complex, b: complex) -> float:
-    """Signed angle swept by arg along the segment [a, b].
+def lift_point(a: complex, theta_a: float, z: complex) -> complex:
+    """Lift of a point z on a segment from the vertex a, whose lift has
+    imaginary part theta_a: log|z| + i(theta_a + Arg(z/a)).
 
     Along a straight chord z(t) = a + t(b - a) the derivative of arg(z) is
     Im(z' / z) = cross(a, b - a) / |z|^2, whose sign is constant in t, so the
     sweep is monotone; its magnitude (the angle the segment subtends at 0) is
-    below pi whenever the segment misses 0.  The principal argument of b/a is
-    therefore the sweep exactly -- no subdivision is ever needed.
+    below pi whenever the segment misses 0.  The principal argument of z/a is
+    therefore the sweep from a to z exactly -- no subdivision is ever needed.
     """
-    return cmath.phase(b / a)
+    return complex(math.log(abs(z)), theta_a + cmath.phase(z / a))
 
 
 def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
@@ -159,8 +170,7 @@ def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
     theta = a0 + 2.0 * math.pi * turns
     lifted = [complex(math.log(abs(pts[0])), theta)]
     for a, b in zip(pts, pts[1:]):
-        theta += _segment_angle(a, b)
-        lifted.append(complex(math.log(abs(b)), theta))
+        lifted.append(lift_point(a, lifted[-1].imag, b))
     return LogLift(tuple(lifted), start_branch_im)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BadTruncation
 
@@ -20,13 +21,27 @@ TWO_PI = 2.0 * math.pi
 GEOM_TOL = 1e-9
 
 
-def in_interior(z: complex, tol: float = GEOM_TOL) -> bool:
-    """True iff z lies in the interior of the staircase domain."""
-    x, y = z.real, z.imag
+def column(x: float, tol: float = GEOM_TOL) -> int:
+    """Index n of the column whose floor 2*pi*n bounds the domain at real
+    part x: floor(x), except that x within tol of an integer m snaps onto
+    the glue line x = m and takes m, the higher of the two adjacent floors."""
     m = round(x)
     if abs(x - m) <= tol:
-        return y - TWO_PI * m > tol
-    return y - TWO_PI * math.floor(x) > tol
+        return m
+    return math.floor(x)
+
+
+def in_interior(z: complex, tol: float = GEOM_TOL) -> bool:
+    """True iff z lies in the interior of the staircase domain."""
+    return z.imag - TWO_PI * column(z.real, tol) > tol
+
+
+def corner_at(z: complex, tol: float) -> Optional[complex]:
+    """The staircase corner (m, 2*pi*m), m = round(Re z), when z lies within
+    tol of it; None otherwise."""
+    m = round(z.real)
+    corner = complex(m, TWO_PI * m)
+    return corner if abs(z - corner) <= tol else None
 
 
 def _seg_dist(z: complex, a: complex, b: complex) -> float:
@@ -140,9 +155,7 @@ def choose_lift_target(omega: complex, tol: float = GEOM_TOL) -> complex:
     a = cmath.phase(omega)
     if a <= -math.pi + 1e-15:  # phase returns (-pi, pi]; normalize the seam
         a = math.pi
-    m = round(x)
-    n_eff = m if abs(x - m) <= tol else math.floor(x)
-    k = math.floor((TWO_PI * n_eff + tol - a) / TWO_PI) + 1
+    k = math.floor((TWO_PI * column(x, tol) + tol - a) / TWO_PI) + 1
     zeta = complex(x, a + TWO_PI * k)
     while not in_interior(zeta, tol):
         k += 1

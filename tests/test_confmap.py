@@ -149,10 +149,15 @@ class TestFGerm:
 
     def test_refresh_tracks_the_lift(self, cmap):
         refresh = FRefresh(cmap)
-        g = refresh(0.55 + 0j, 0j)
+        lift = cmath.log(0.55)
+        g = refresh(0.55 + 0j, lift, 0j)
         assert abs(g.coeffs[0] - f_direct(cmap, 0.55)) < 1e-9
-        # after a step the stored lift follows the path, not the principal box
-        assert abs(refresh.prev_lift - cmath.log(0.55)) < 1e-12
+        # one turn up the staircase the same center carries another value:
+        # the germ is built on the lift it is given, not the principal log
+        up = lift + TWO_PI * 1j
+        g_up = refresh(0.55 + 0j, up, 0j)
+        assert abs(g_up.coeffs[0] - eval_h(psi_eval(cmap, up))) < 1e-9
+        assert abs(g_up.coeffs[0] - g.coeffs[0]) > 1e-3
 
     def test_crosscheck_agrees_on_blocked_segment(self, cmap, fgerm):
         report = crosscheck(validate_path([0.5, 2.0]), fgerm, refresh=FRefresh(cmap))
@@ -165,6 +170,17 @@ class TestFGerm:
 class TestRefreshPath:
     """Routed continuation with FRefresh: pins the step count and the final
     value, so a change to the refresh arithmetic that moves an answer shows."""
+
+    def test_reused_hook_repeats_the_chain(self, cmap, fgerm):
+        # a hook holds no state, so a second run with the same object
+        # repeats the first germ for germ
+        path = reach_path(2.5)
+        refresh = FRefresh(cmap)
+        first = continue_along(fgerm, path, refresh=refresh)
+        second = continue_along(fgerm, path, refresh=refresh)
+        assert first.completed
+        assert len(first.elements) - 1 == 124
+        assert second == first
 
     @pytest.mark.parametrize("target, steps", [(-0.5, 22), (-1j, 47)])
     def test_routed_chain(self, cmap, fgerm, target, steps):

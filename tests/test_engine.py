@@ -51,6 +51,21 @@ class TestContinueAlong:
         assert list(chain.breakpoints) == sorted(chain.breakpoints)
         assert chain.breakpoints[-1] >= 1.0 - 1e-12
 
+    def test_refresh_receives_the_lift(self):
+        # a hook that rebuilds the log germ from the lift alone picks up the
+        # period around the loop, and sees exp(lift) == center at every step
+        seen = []
+
+        def refresh(center, lift, hint):
+            seen.append(abs(cmath.exp(lift) - center))
+            return log_germ(center, lift.imag)
+
+        chain = continue_along(log_germ(0.5, 0.0), ccw_loop(), refresh=refresh)
+        assert chain.completed
+        assert abs(chain.final.coeffs[0] - complex(math.log(0.5), TWO_PI)) < 1e-10
+        assert len(seen) == len(chain.elements) - 1
+        assert max(seen) < 1e-14
+
     def test_h_germ_refreshes_by_rebuild(self):
         chain = continue_along(h_germ(0.1, 64), validate_path([0.1, 0.4]))
         assert chain.completed

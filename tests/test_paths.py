@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from logstair import (
     EmptyPath,
     SegmentThroughOrigin,
+    lift_at,
     lift_log,
     validate_path,
     winding_number,
@@ -185,3 +186,24 @@ def test_lift_branch_behaviour(pts, k, branch):
     for a, b in zip(base.points, shifted.points):
         assert a.real == b.real
         assert abs((b.imag - a.imag) - TWO_PI * k) < 1e-9
+
+
+@given(polylines, st.lists(st.floats(0.0, 1.0), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_lift_at_is_the_vertex_lift_between_vertices(pts, ts):
+    path = _safe(pts)
+    if path is None:
+        return
+    total = path.total_length
+    vertex_lift = lift_log(path).points
+    for c, w in zip(path._cumlen, vertex_lift):
+        assert abs(lift_at(path, c / total if total else 0.0) - w) < 1e-12
+    for t in ts:
+        z = path.point_at(t)
+        assert abs(cmath.exp(lift_at(path, t)) - z) <= 1e-12 * abs(z)
+    # lift_at has filled the path's start-branch-0 cache; other branches
+    # are still lifted from their own start
+    shifted = lift_log(path, TWO_PI)
+    for a, b in zip(vertex_lift, shifted.points):
+        assert a.real == b.real
+        assert abs((b.imag - a.imag) - TWO_PI) < 1e-12
