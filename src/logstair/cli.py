@@ -121,9 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, path=False, omega=False, mn=False, trunc=False):
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-        p.add_argument("--out", default=None)
+    def common(p, *, order=False, out=False, path=False, omega=False, mn=False, trunc=False):
+        if order:
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+        if out:
+            p.add_argument("--out", default=None)
         if path:
             p.add_argument("--path", required=True, metavar="FILE.json")
         if omega:
@@ -140,11 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch-im", type=float, default=0.0)
 
     p = sub.add_parser("lift", help="log lift of a path; CSV of lift points")
-    common(p, path=True)
+    common(p, out=True, path=True)
     p.add_argument("--branch-im", type=float, default=0.0)
 
     p = sub.add_parser("continue", help="continue a germ along a path; chain CSV")
-    common(p, path=True)
+    common(p, order=True, out=True, path=True)
     p.add_argument("--germ", default="log", metavar="log[:BRANCH_IM]|h")
 
     p = sub.add_parser("oracle", help="exact continuability verdict for a path")
@@ -152,25 +154,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geom-tol", type=float, default=GEOM_TOL)
 
     p = sub.add_parser("classify", help="slit-target verdict for (omega, M, N)")
-    common(p, omega=True, mn=True)
+    common(p, out=True, omega=True, mn=True)
 
     p = sub.add_parser("table", help="theorem truth table over a slit grid")
-    common(p)
+    common(p, out=True)
     p.add_argument("--m-range", default="-2:2", metavar="LO:HI")
     p.add_argument("--n-offsets", default="0,1,2", metavar="D1,D2,...")
     p.add_argument("--samples", type=int, default=8)
 
     p = sub.add_parser("reach", help="construct a continuable path to omega")
-    common(p, omega=True)
+    common(p, out=True, omega=True)
 
     p = sub.add_parser("demo-expexp", help="two-branch log-log continuation demo")
-    common(p)
+    common(p, order=True)
 
     p = sub.add_parser("build-map", help="build the disc map; boundary node CSV")
-    common(p, trunc=True)
+    common(p, out=True, trunc=True)
 
     p = sub.add_parser("map-report", help="map quality report JSON")
-    common(p, trunc=True)
+    common(p, out=True, trunc=True)
     return top
 
 

@@ -23,6 +23,8 @@ measurably moving anything else.
 from __future__ import annotations
 
 import math
+import struct
+from collections import OrderedDict
 
 import numpy as np
 
@@ -33,6 +35,14 @@ from .staircase import TWO_PI, Truncation
 BASE_LIFT = complex(math.log(0.5), 0.0)
 _SCALE = 1.0 - 1e-7
 MIN_RESOLUTION = 64
+
+# Assembled h(psi(log z)) germs a map keeps, least recently used dropped
+# first. Routes from the base point climb the same corridor, so chains to
+# different targets refresh at the same (center, lift) pairs: over 20 sweep
+# targets about a third of the refreshes repeat an earlier pair. At the
+# default order a full memo raises peak memory by about 1.0 MB; 512 entries
+# raised it by 1.3 MB with no gain in throughput.
+MEMO_CAPACITY = 384
 
 
 def _flip(s, w):
@@ -144,6 +154,7 @@ class ConformalMap:
         ring = self._eval_raw(base + r * np.exp(1j * th))
         a1 = np.fft.fft(ring)[1] / 64 / r
         self.rot = _SCALE * abs(a1) / a1
+        self._germs = OrderedDict()  # see _f_germ
 
     def _eval_raw(self, z):
         """Anchored evaluation; no domain check.  Accepts scalars or arrays."""
@@ -216,6 +227,31 @@ class ConformalMap:
         taylor = coef[: order + 1] / r ** np.arange(order + 1)
         return Germ(zeta, tuple(taylor), r, "composed")
 
+    def _f_germ(self, center: complex, lift: complex, order: int) -> Germ:
+        """Germ at center of h(psi(log z)) on the log branch whose value at
+        center is lift: h-germ composed with (local map model at lift
+        composed with the log germ).
+
+        The germ is a pure function of its arguments, so the map keeps the
+        last MEMO_CAPACITY results, keyed by the arguments' bits (0.0 and
+        -0.0 compare equal but can reach different branches downstream). An
+        entry is the coefficient array and radius_est; a hit builds a new
+        Germ equal to the one first returned. A failed assembly raises and
+        stores nothing.
+        """
+        key = struct.pack("4dq", center.real, center.imag, lift.real, lift.imag, order)
+        entry = self._germs.pop(key, None)
+        if entry is not None:
+            self._germs[key] = entry
+            return Germ(center, entry[0].tolist(), entry[1], "composed")
+        lam = log_germ(center, lift.imag, order)
+        mid = compose(self.local_model(lift, order), lam)
+        germ = compose(h_germ(mid.coeffs[0], order), mid)
+        self._germs[key] = (np.array(germ.coeffs), germ.radius_est)
+        if len(self._germs) > MEMO_CAPACITY:
+            self._germs.popitem(last=False)
+        return germ
+
 
 def build_map(truncation, resolution: int) -> ConformalMap:
     """Construct the disc map of the truncated staircase at the given
@@ -231,31 +267,27 @@ def psi_eval(cmap: ConformalMap, z) -> complex:
 def f_germ_at_base(cmap: ConformalMap, order: int = DEFAULT_ORDER) -> Germ:
     """Germ at z = 0.5 of h(psi(log z)), log taken with branch value ln 0.5.
 
-    Assembled as h-germ composed with (local map model composed with the
-    log germ); the anchored normalization makes the inner value at 0.5 equal
-    zero to machine precision, so the constant term is h(0) ~ 0.
+    The anchored normalization makes the inner value at 0.5 equal zero to
+    machine precision, so the constant term is h(0) ~ 0.
     """
     if order < 8:
         raise ValueError(f"order must be >= 8, got {order}")
-    lam = log_germ(0.5, 0.0, order)
-    mid = compose(cmap.local_model(cmap.base, order), lam)
-    return compose(h_germ(mid.coeffs[0], order), mid)
+    return cmap._f_germ(0.5 + 0j, cmap.base, order)
 
 
 class FRefresh:
     """Rebuilder of the h(psi(log z)) germ for the continuation engine:
     reassembles the composition at each new center on the log branch given
     by the path's lift there.  Holds no state, so one object serves any
-    number of runs."""
+    number of runs; repeated (center, lift) pairs are served from the map's
+    memo, across all hooks on that map."""
 
     def __init__(self, cmap: ConformalMap, order: int = DEFAULT_ORDER):
         self.cmap = cmap
         self.order = order
 
     def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
-        lam = log_germ(center, lift.imag, self.order)
-        mid = compose(self.cmap.local_model(lift, self.order), lam)
-        return compose(h_germ(mid.coeffs[0], self.order), mid)
+        return self.cmap._f_germ(center, lift, self.order)
 
 
 def _interior_grid(truncation: Truncation, count: int = 200, inset: float = 0.051):

@@ -280,6 +280,14 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "wind", "--path", segment_file, "--geom-tol", "1e-9")
         assert code == 2
 
+    def test_order_only_where_read(self, capsys, segment_file):
+        code, _, _ = run(capsys, "wind", "--path", segment_file, "--order", "8")
+        assert code == 2
+
+    def test_out_only_where_read(self, capsys, segment_file, tmp_path):
+        code, _, _ = run(capsys, "oracle", "--path", segment_file, "--out", str(tmp_path / "x"))
+        assert code == 2
+
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "wind")
         assert code == 2

@@ -6,6 +6,8 @@ import pytest
 
 from logstair import (
     BadTruncation,
+    CompositionOutOfRange,
+    ConformalMap,
     FRefresh,
     OutsideDomain,
     Truncation,
@@ -20,6 +22,7 @@ from logstair import (
     reach_path,
     validate_path,
 )
+from logstair import confmap
 from logstair.confmap import _flip, _interior_grid
 
 TWO_PI = 2.0 * math.pi
@@ -159,6 +162,9 @@ class TestFGerm:
         assert abs(g_up.coeffs[0] - eval_h(psi_eval(cmap, up))) < 1e-9
         assert abs(g_up.coeffs[0] - g.coeffs[0]) > 1e-3
 
+    def test_base_germ_is_the_refresh_at_base(self, cmap):
+        assert f_germ_at_base(cmap) == FRefresh(cmap)(0.5 + 0j, cmap.base, 0j)
+
     def test_crosscheck_agrees_on_blocked_segment(self, cmap, fgerm):
         report = crosscheck(validate_path([0.5, 2.0]), fgerm, refresh=FRefresh(cmap))
         assert report.agree
@@ -190,6 +196,83 @@ class TestRefreshPath:
         assert len(chain.elements) - 1 == steps
         expected = eval_h(psi_eval(cmap, lift_log(path).end))
         assert abs(chain.final.coeffs[0] - expected) < 1e-6
+
+
+@pytest.fixture
+def local_model_calls(monkeypatch):
+    """Counts calls to ConformalMap.local_model, the step a memo hit skips."""
+    calls = []
+    inner = ConformalMap.local_model
+
+    def counted(self, zeta, order=confmap.DEFAULT_ORDER):
+        calls.append(zeta)
+        return inner(self, zeta, order)
+
+    monkeypatch.setattr(ConformalMap, "local_model", counted)
+    return calls
+
+
+class TestGermMemo:
+    """The map's memo of assembled h(psi(log z)) germs: a hit returns what
+    the assembly would, so chains do not depend on what ran before."""
+
+    def test_repeated_route_skips_the_local_model(self, trunc, local_model_calls):
+        cmap = build_map(trunc, 256)
+        fgerm = f_germ_at_base(cmap)
+        local_model_calls.clear()
+        path = reach_path(-0.5)
+        first = continue_along(fgerm, path, refresh=FRefresh(cmap))
+        assert len(local_model_calls) == len(first.elements) - 1  # one per step
+        local_model_calls.clear()
+        second = continue_along(fgerm, path, refresh=FRefresh(cmap))
+        assert second == first
+        assert local_model_calls == []
+
+    def test_shared_trunk_gives_the_cold_chain(self, trunc, local_model_calls):
+        # both routes leave 0.5 up the same corridor, so the second reuses
+        # germs the first assembled
+        warm = build_map(trunc, 256)
+        fgerm = f_germ_at_base(warm)
+        continue_along(fgerm, reach_path(1.5 + 1.5j), refresh=FRefresh(warm))
+        local_model_calls.clear()
+        path = reach_path(2j)
+        on_warm = continue_along(fgerm, path, refresh=FRefresh(warm))
+        steps = len(on_warm.elements) - 1
+        assert 0 < len(local_model_calls) < steps
+        fresh = build_map(trunc, 256)
+        on_fresh = continue_along(f_germ_at_base(fresh), path, refresh=FRefresh(fresh))
+        assert on_warm.completed
+        assert on_fresh == on_warm
+
+    def test_memo_is_bounded(self, trunc, monkeypatch):
+        monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)
+        cmap = build_map(trunc, 256)
+        fgerm = f_germ_at_base(cmap)
+        path = reach_path(-0.5)
+        first = continue_along(fgerm, path, refresh=FRefresh(cmap))
+        assert len(first.elements) > 8
+        assert len(cmap._germs) == 8
+        # every entry was evicted before its reuse: the second run
+        # assembles each germ again and gets the same chain
+        assert continue_along(fgerm, path, refresh=FRefresh(cmap)) == first
+        assert len(cmap._germs) == 8
+
+    @pytest.mark.parametrize(
+        "lift, error",
+        [
+            (complex(1.5, 3.0), OutsideDomain),  # below the floor of column 1
+            (complex(-1.99, 0.3), CompositionOutOfRange),  # after local_model
+        ],
+    )
+    def test_failed_refresh_is_not_stored(self, trunc, lift, error):
+        cmap = build_map(trunc, 256)
+        f_germ_at_base(cmap)
+        before = list(cmap._germs)
+        refresh = FRefresh(cmap)
+        for _ in range(2):
+            with pytest.raises(error):
+                refresh(cmath.exp(lift), lift, 0j)
+            assert list(cmap._germs) == before
 
 
 def _reference_steps(cmap):
