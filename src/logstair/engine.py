@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import CenterMismatch, LogstairError, WrongBasePoint
+from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
 from .paths import PathPolyline, lift_at, lift_point
-from .series import DEFAULT_ORDER, STEP_SAFETY, Germ, h_germ, log_germ, recenter
+from .series import DEFAULT_ORDER, STEP_SAFETY, Germ, h_germ, log_germ
 from .staircase import GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
 RADIUS_FLOOR = 1e-4
@@ -136,11 +136,12 @@ def continue_along(
     Each step rebuilds an authoritative germ at the next center with
     `refresh(center, lift, hint)` (or a provenance-derived default for log/h
     germs), where lift is lift_at(path, t) at that center and hint is the
-    current germ's value there; a Taylor shift is the fallback when nothing
-    better is known.  A hook is a pure function of its arguments, so one hook
-    serves any number of runs.  Failure means the radius estimate dropped
-    below radius_floor or the step budget ran out; t_fail is the furthest
-    parameter reached.
+    current germ's value there.  A hook is a pure function of its arguments,
+    so one hook serves any number of runs.  Any other germ needs a hook: a
+    Taylor shift alone carries no radius it can trust, so a step without one
+    raises NoRefresh.  Failure means the radius estimate dropped below
+    radius_floor, the step budget ran out or the hook raised a LogstairError
+    (ModelUnresolved, for one); t_fail is the furthest parameter reached.
     """
     opts = opts if opts is not None else EngineOptions()
     opts.validate()
@@ -173,15 +174,16 @@ def continue_along(
         t_next = _advance(path, vert_ts, t, g.center, opts.step_safety * g.radius_est)
         if not t_next > t:
             return _failed("no forward progress along the path")
+        if refresh is None:
+            raise NoRefresh(
+                f"a {start.provenance!r} germ has no default refresh; pass a hook"
+            )
         center = path.point_at(t_next)
-        if refresh is not None:
-            lift, hint = lift_at(path, t_next), g.eval(center)
-            try:
-                g_next = refresh(center, lift, hint)
-            except LogstairError as exc:
-                return _failed(f"refresh failed: {exc}")
-        else:
-            g_next = recenter(g, center, step_safety=opts.step_safety, reestimate=True)
+        lift, hint = lift_at(path, t_next), g.eval(center)
+        try:
+            g_next = refresh(center, lift, hint)
+        except LogstairError as exc:
+            return _failed(f"refresh failed: {exc}")
         elements.append(g_next)
         breaks.append(t_next)
         g = g_next

@@ -49,6 +49,15 @@ class OutsideDomain(LogstairError):
     pass
 
 
+class ModelUnresolved(LogstairError):
+    """No ring of the local model's radius ladder passed its self-check: the
+    disc map does not resolve the neighbourhood of the point."""
+
+
+class NoRefresh(LogstairError):
+    """A continuation step needs a refresh hook and none was given."""
+
+
 class CenterMismatch(LogstairError):
     pass
 

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logstair import (
     BadTruncation,
     CompositionOutOfRange,
     ConformalMap,
     FRefresh,
+    ModelUnresolved,
     OutsideDomain,
     Truncation,
     build_map,
@@ -131,11 +134,86 @@ class TestLocalModel:
     def test_model_radius_respects_walls(self, cmap, trunc):
         zeta = complex(0.5, 1.0)
         g = cmap.local_model(zeta)
-        assert g.radius_est == pytest.approx(0.5 * trunc.boundary_distance(zeta))
+        assert g.radius_est == pytest.approx(0.85 * trunc.boundary_distance(zeta))
 
     def test_outside_domain(self, cmap):
         with pytest.raises(OutsideDomain):
             cmap.local_model(complex(1.5, 3.0))
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """Sizes of the point sets handed to ConformalMap._eval_raw: inside
+    local_model, one per ring of the radius ladder tried (the ring's 256
+    points and the center)."""
+    sizes = []
+    inner = ConformalMap._eval_raw
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return inner(self, z)
+
+    monkeypatch.setattr(ConformalMap, "_eval_raw", counted)
+    return sizes
+
+
+class TestSelfCheck:
+    """local_model's radius ladder: the narrow ring where the wide one fails
+    the self-check, a typed error where neither passes, and the check held
+    by every model handed out."""
+
+    def test_fallback_rung(self, cmap, trunc, rings):
+        # the end of the route to 1+0.01j, just above the floor of column 0
+        # and 5e-5 right of its corner: the wide ring reaches past what the
+        # nodes resolve there
+        zeta = cmath.log(1 + 0.01j)
+        g = cmap.local_model(zeta)
+        assert rings == [257, 257]
+        assert g.radius_est == 0.5 * trunc.boundary_distance(zeta)
+        assert abs(g.coeffs[0] - psi_eval(cmap, zeta)) <= 1e-6
+
+    def test_unresolved_point_raises(self, cmap, trunc, rings):
+        # deep in column -2 the map crowds its images against the circle:
+        # every sample is finite, but neither ring passes
+        zeta = complex(-1.5, -8.0)
+        with pytest.raises(ModelUnresolved):
+            cmap.local_model(zeta)
+        assert rings == [257, 257]
+        ring = zeta + 0.85 * trunc.boundary_distance(zeta) * np.exp(1j * np.arange(8))
+        assert np.all(np.isfinite(cmap._eval_raw(ring)))
+
+    def test_unresolved_model_ends_the_chain(self, cmap, fgerm):
+        # 1e-6 above the floor of column 0 the ring radius to the 64th power
+        # underflows; the hook raises ModelUnresolved, which the engine
+        # reports as a failed chain (TestGermMemo calls the hook directly)
+        wall = complex(0.5, 1e-6)
+        refresh = FRefresh(cmap)
+
+        def to_the_wall(center, lift, hint):
+            return refresh(cmath.exp(wall), wall, hint)
+
+        chain = continue_along(fgerm, validate_path([0.5, 0.6]), refresh=to_the_wall)
+        assert chain.status == "failed"
+        assert chain.t_fail == 0.0
+        assert "self-check" in chain.reason
+
+    @given(
+        n=st.integers(-2, 2),
+        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_models_pass_the_check(self, cmap, trunc, n, x, y):
+        lo = TWO_PI * n
+        zeta = complex(n + x, lo + (trunc.y_max - lo) * y)
+        assume(trunc.contains(zeta))
+        try:
+            g = cmap.local_model(zeta)
+        except ModelUnresolved:
+            assume(False)
+        d = trunc.boundary_distance(zeta)
+        assert abs(g.coeffs[0] - psi_eval(cmap, zeta)) <= 1e-6
+        assert g.radius_est in (0.85 * d, 0.5 * d)
 
 
 class TestFGerm:
@@ -185,10 +263,12 @@ class TestRefreshPath:
         first = continue_along(fgerm, path, refresh=refresh)
         second = continue_along(fgerm, path, refresh=refresh)
         assert first.completed
-        assert len(first.elements) - 1 == 124
+        assert len(first.elements) - 1 == 78
         assert second == first
 
-    @pytest.mark.parametrize("target, steps", [(-0.5, 22), (-1j, 47)])
+    # 1+0.01j ends 5e-5 right of the corner of column 0, where the map is
+    # hardest to resolve and its last models take the narrow ring
+    @pytest.mark.parametrize("target, steps", [(-0.5, 16), (-1j, 31), (1 + 0.01j, 61)])
     def test_routed_chain(self, cmap, fgerm, target, steps):
         path = reach_path(target)
         chain = continue_along(fgerm, path, refresh=FRefresh(cmap))
@@ -261,7 +341,9 @@ class TestGermMemo:
         "lift, error",
         [
             (complex(1.5, 3.0), OutsideDomain),  # below the floor of column 1
-            (complex(-1.99, 0.3), CompositionOutOfRange),  # after local_model
+            (complex(-1.995, 0.3), CompositionOutOfRange),  # after local_model
+            (complex(0.5, 1e-6), ModelUnresolved),  # just above the floor
+            (complex(-1.5, -8.0), ModelUnresolved),  # self-check fails
         ],
     )
     def test_failed_refresh_is_not_stored(self, trunc, lift, error):

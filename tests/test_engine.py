@@ -9,6 +9,7 @@ from logstair import (
     CenterMismatch,
     EngineOptions,
     Germ,
+    NoRefresh,
     WrongBasePoint,
     continuable_exact,
     continue_along,
@@ -81,6 +82,23 @@ class TestContinueAlong:
         assert not chain.completed
         assert chain.t_fail == 0.0
         assert "floor" in chain.reason
+
+    def test_step_without_refresh_raises(self):
+        # log coefficients under another provenance: there is no default
+        # refresh, and a Taylor shift alone carried this germ to 2 with the
+        # value -4e28 (ln 2 is right)
+        g = log_germ(0.5, 0.0)
+        bare = Germ(g.center, g.coeffs, g.radius_est, "custom")
+        with pytest.raises(NoRefresh):
+            continue_along(bare, validate_path([0.5, 2.0]))
+        # with a hook the same germ continues
+        chain = continue_along(
+            bare,
+            validate_path([0.5, 2.0j]),
+            refresh=lambda center, lift, hint: log_germ(center, lift.imag),
+        )
+        assert chain.completed
+        assert abs(chain.final.coeffs[0] - complex(LN2, math.pi / 2)) < 1e-10
 
     def test_step_budget(self):
         opts = EngineOptions(max_steps=3)
