@@ -102,14 +102,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _make_germ(spec: str, start: complex, order: int):
+    """(germ, refresh hook) for a --germ spec; a log germ takes the engine's
+    default hook, h is rebuilt at each center."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "log" and len(parts) == 1:
-        return log_germ(start, 0.0, order)
+        return log_germ(start, 0.0, order), None
     if kind == "log" and len(parts) == 2:
-        return log_germ(start, _parse_scalar(parts[1], "--germ"), order)
+        return log_germ(start, _parse_scalar(parts[1], "--germ"), order), None
     if kind == "h" and len(parts) == 1:
-        return h_germ(start, order)
+        return h_germ(start, order), lambda center, lift, hint: h_germ(center, order)
     raise _FieldError(f"--germ: expected log, log:BRANCH_IM, or h, got {spec!r}")
 
 
@@ -195,8 +197,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_continue(args) -> int:
     path = _read_path(args.path)
-    germ = _make_germ(args.germ, path.start, args.order)
-    chain = continue_along(germ, path)
+    germ, refresh = _make_germ(args.germ, path.start, args.order)
+    chain = continue_along(germ, path, refresh)
     rows = ["t,center_re,center_im,radius_est"]
     for t, g in zip(chain.breakpoints, chain.elements):
         rows.append(f"{_fmt(t)},{_fmt_c(g.center)},{_fmt(g.radius_est)}")

@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import BadTruncation, DegenerateBoundary, ModelUnresolved, OutsideDomain
 from .series import DEFAULT_ORDER, Germ, compose, h_germ, log_germ
-from .staircase import TWO_PI, Truncation
+from .staircase import BASE_LIFT, BASE_POINT, TWO_PI, Truncation
 
-BASE_LIFT = complex(math.log(0.5), 0.0)
 _SCALE = 1.0 - 1e-7
 MIN_RESOLUTION = 64
 
@@ -261,7 +260,7 @@ class ConformalMap:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 taylor = coef[: order + 1] / r**powers
             if np.all(np.isfinite(taylor)):
-                return Germ(zeta, tuple(taylor), r, "composed")
+                return Germ(zeta, tuple(taylor), r)
         raise ModelUnresolved(
             f"no ring about {zeta} passed the local model's self-check "
             f"(distance to the boundary {d:.3e})"
@@ -283,7 +282,7 @@ class ConformalMap:
         entry = self._germs.pop(key, None)
         if entry is not None:
             self._germs[key] = entry
-            return Germ(center, entry[0].tolist(), entry[1], "composed")
+            return Germ(center, entry[0].tolist(), entry[1])
         lam = log_germ(center, lift.imag, order)
         mid = compose(self.local_model(lift, order), lam)
         germ = compose(h_germ(mid.coeffs[0], order), mid)
@@ -312,7 +311,7 @@ def f_germ_at_base(cmap: ConformalMap, order: int = DEFAULT_ORDER) -> Germ:
     """
     if order < 8:
         raise ValueError(f"order must be >= 8, got {order}")
-    return cmap._f_germ(0.5 + 0j, cmap.base, order)
+    return cmap._f_germ(BASE_POINT, cmap.base, order)
 
 
 class FRefresh:
@@ -330,10 +329,11 @@ class FRefresh:
         return self.cmap._f_germ(center, lift, self.order)
 
 
-def _interior_grid(truncation: Truncation, count: int = 200, inset: float = 0.051):
-    """Deterministic interior sample grid: per column, an x line-up inset from
-    the risers and y levels from just above the floor to at most three steps
-    up (or the truncation cap)."""
+def _interior_grid(truncation: Truncation):
+    """Deterministic 200-point interior sample grid: per column, an x line-up
+    inset 0.051 from the risers and y levels from just above the floor to at
+    most three steps up (or the truncation cap)."""
+    count, inset = 200, 0.051
     cols = list(range(truncation.n_min, truncation.n_max + 1))
     per = [count // len(cols)] * len(cols)
     for i in range(count - sum(per)):

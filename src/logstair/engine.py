@@ -15,33 +15,14 @@ from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
 from .paths import PathPolyline, lift_at, lift_point
-from .series import DEFAULT_ORDER, STEP_SAFETY, Germ, h_germ, log_germ
-from .staircase import GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
+from .series import STEP_SAFETY, Germ, log_germ
+from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
 RADIUS_FLOOR = 1e-4
 MAX_STEPS = 100_000
 CROSS_TOL = 0.02
 
-BASE_POINT = 0.5 + 0j
 _ORACLE_ARC = 0.005  # lift-space sampling resolution of the exact oracle
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    order: int = DEFAULT_ORDER
-    step_safety: float = STEP_SAFETY
-    radius_floor: float = RADIUS_FLOOR
-    max_steps: int = MAX_STEPS
-
-    def validate(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if not 0.0 < self.step_safety < 1.0:
-            raise ValueError(f"step_safety must be in (0,1), got {self.step_safety}")
-        if not self.radius_floor > 0.0:
-            raise ValueError(f"radius_floor must be positive, got {self.radius_floor}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -76,15 +57,6 @@ class CrosscheckReport:
     chain: ContinuationChain
     oracle: OracleVerdict
     detail: str
-
-
-def _auto_refresh(start: Germ):
-    order = start.order
-    if start.provenance == "log":
-        return lambda center, lift, hint: log_germ(center, hint.imag, order)
-    if start.provenance == "h":
-        return lambda center, lift, hint: h_germ(center, order)
-    return None
 
 
 def _vertex_params(path: PathPolyline):
@@ -127,30 +99,34 @@ def _advance(path: PathPolyline, vert_ts, t0: float, center: complex, cap: float
 def continue_along(
     start: Germ,
     path: PathPolyline,
-    opts: Optional[EngineOptions] = None,
     refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
 ) -> ContinuationChain:
-    """Continue `start` along `path` by steps of at most step_safety times the
+    """Continue `start` along `path` by steps of at most STEP_SAFETY times the
     current radius estimate.
 
     Each step rebuilds an authoritative germ at the next center with
-    `refresh(center, lift, hint)` (or a provenance-derived default for log/h
-    germs), where lift is lift_at(path, t) at that center and hint is the
-    current germ's value there.  A hook is a pure function of its arguments,
-    so one hook serves any number of runs.  Any other germ needs a hook: a
-    Taylor shift alone carries no radius it can trust, so a step without one
-    raises NoRefresh.  Failure means the radius estimate dropped below
-    radius_floor, the step budget ran out or the hook raised a LogstairError
-    (ModelUnresolved, for one); t_fail is the furthest parameter reached.
+    `refresh(center, lift, hint)`, where lift is lift_at(path, t) at that
+    center and hint is the current germ's value there.  A hook is a pure
+    function of its arguments, so one hook serves any number of runs.  With
+    no hook, a germ equal to log_germ(center, Im a_0, order) is rebuilt as
+    the log branch through hint; any other germ needs a hook: a Taylor shift
+    alone carries no radius it can trust, so a step without one raises
+    NoRefresh.  Failure means the radius estimate dropped below RADIUS_FLOOR,
+    MAX_STEPS ran out or the hook raised a LogstairError (ModelUnresolved,
+    for one); t_fail is the furthest parameter reached.
     """
-    opts = opts if opts is not None else EngineOptions()
-    opts.validate()
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
             f"germ center {start.center} is not the path start {path.start}"
         )
-    if refresh is None:
-        refresh = _auto_refresh(start)
+    order = start.order
+    if (
+        refresh is None
+        and order >= 1
+        and start.center != 0
+        and start == log_germ(start.center, start.coeffs[0].imag, order)
+    ):
+        refresh = lambda center, lift, hint: log_germ(center, hint.imag, order)
     vert_ts = _vertex_params(path)
     elements = [start]
     breaks = [0.0]
@@ -162,22 +138,20 @@ def continue_along(
         return ContinuationChain(tuple(elements), tuple(breaks), "failed", t, reason)
 
     while True:
-        if g.radius_est < opts.radius_floor:
+        if g.radius_est < RADIUS_FLOOR:
             return _failed(
-                f"radius estimate {g.radius_est:.3e} below floor {opts.radius_floor:.3e}"
+                f"radius estimate {g.radius_est:.3e} below floor {RADIUS_FLOOR:.3e}"
             )
         if t >= 1.0:
             return ContinuationChain(tuple(elements), tuple(breaks), "completed")
-        if steps >= opts.max_steps:
-            return _failed(f"exceeded {opts.max_steps} steps")
+        if steps >= MAX_STEPS:
+            return _failed(f"exceeded {MAX_STEPS} steps")
         steps += 1
-        t_next = _advance(path, vert_ts, t, g.center, opts.step_safety * g.radius_est)
+        t_next = _advance(path, vert_ts, t, g.center, STEP_SAFETY * g.radius_est)
         if not t_next > t:
             return _failed("no forward progress along the path")
         if refresh is None:
-            raise NoRefresh(
-                f"a {start.provenance!r} germ has no default refresh; pass a hook"
-            )
+            raise NoRefresh("only a log germ has a default refresh; pass a hook")
         center = path.point_at(t_next)
         lift, hint = lift_at(path, t_next), g.eval(center)
         try:
@@ -266,13 +240,12 @@ def overlap_disagreement(chain: ContinuationChain, points_per_junction: int = 8)
 def crosscheck(
     path: PathPolyline,
     f_germ: Germ,
-    opts: Optional[EngineOptions] = None,
     refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
-    cross_tol: float = CROSS_TOL,
 ) -> CrosscheckReport:
     """Run the numeric engine and the exact oracle on the same path and
-    report whether they tell the same story."""
-    chain = continue_along(f_germ, path, opts, refresh)
+    report whether they tell the same story: both continue, or both fail
+    within CROSS_TOL of each other in the path parameter."""
+    chain = continue_along(f_germ, path, refresh)
     oracle = continuable_exact(path)
     if oracle.verdict == "continuable":
         agree = chain.completed
@@ -284,7 +257,7 @@ def crosscheck(
     else:
         if not chain.completed:
             gap = abs(chain.t_fail - oracle.first_exit_t)
-            agree = gap < cross_tol
+            agree = gap < CROSS_TOL
             detail = (
                 f"both fail (engine t={chain.t_fail:.6f}, "
                 f"oracle t={oracle.first_exit_t:.6f}, gap {gap:.2e})"

@@ -15,16 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import (
-    BASE_POINT,
-    ContinuationChain,
-    continuable_exact,
-    continue_along,
-)
+from .engine import ContinuationChain, continuable_exact, continue_along
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, validate_path
 from .series import DEFAULT_ORDER, Germ, compose, log_germ
 from .staircase import (
+    BASE_LIFT,
+    BASE_POINT,
     GEOM_TOL,
     TWO_PI,
     boundary_distance,
@@ -37,8 +34,6 @@ from .staircase import (
 
 ROUTE_CLEARANCE = 0.05
 EXP_STEP = 0.1
-
-_BASE_LIFT = complex(math.log(0.5), 0.0)
 
 
 @dataclass(frozen=True)
@@ -76,16 +71,16 @@ class ExpExpReport:
         return self.branch_b.final.coeffs[0]
 
 
-def _route_lift(target: complex, clearance: float = ROUTE_CLEARANCE):
+def _route_lift(target: complex):
     """Waypoints from the base lift point to `target` inside the staircase.
 
-    Rightward travel ascends above each glue threshold (plus clearance)
+    Rightward travel ascends above each glue threshold (plus ROUTE_CLEARANCE)
     before crossing to the next column midline; leftward travel uses a single
     corridor above every threshold it passes.  The last two legs approach the
     target directly and are only required to stay interior -- the target may
     legitimately sit closer to the boundary than the trunk clearance.
     """
-    x0, y0 = _BASE_LIFT.real, _BASE_LIFT.imag
+    x0, y0 = BASE_LIFT.real, BASE_LIFT.imag
     xt, yt = target.real, target.imag
     c0 = column(x0)
     ct = column(xt)
@@ -95,7 +90,7 @@ def _route_lift(target: complex, clearance: float = ROUTE_CLEARANCE):
 
     if ct >= c0:
         for c in range(c0 + 1, ct + 1):
-            y_need = TWO_PI * c + clearance
+            y_need = TWO_PI * c + ROUTE_CLEARANCE
             if y_cur < y_need:
                 pts.append(complex(x_cur, y_need))
                 y_cur = y_need
@@ -127,32 +122,32 @@ def _route_lift(target: complex, clearance: float = ROUTE_CLEARANCE):
     return out
 
 
-def _verify_route(pts, clearance: float = ROUTE_CLEARANCE) -> None:
-    """Interior check along every leg; trunk legs must also keep the stated
-    clearance (the final two legs are exempt, see _route_lift)."""
+def _verify_route(pts) -> None:
+    """Interior check along every leg; trunk legs must also keep
+    ROUTE_CLEARANCE (the final two legs are exempt, see _route_lift)."""
     n_legs = len(pts) - 1
     for i in range(n_legs):
         a, b = pts[i], pts[i + 1]
         relaxed = i >= n_legs - 2
-        n_sub = max(1, math.ceil(abs(b - a) / (0.5 * clearance)))
+        n_sub = max(1, math.ceil(abs(b - a) / (0.5 * ROUTE_CLEARANCE)))
         for j in range(n_sub + 1):
             p = a + (b - a) * (j / n_sub)
-            if j == 0 and i == 0 and p == _BASE_LIFT:
+            if j == 0 and i == 0 and p == BASE_LIFT:
                 continue
             if not in_interior(p) and p != pts[-1]:
                 raise RoutingFailure(f"waypoint {p} left the staircase interior")
-            if not relaxed and boundary_distance(p) < 0.999 * clearance:
+            if not relaxed and boundary_distance(p) < 0.999 * ROUTE_CLEARANCE:
                 raise RoutingFailure(
-                    f"waypoint {p} violates the routing clearance {clearance}"
+                    f"waypoint {p} violates the routing clearance {ROUTE_CLEARANCE}"
                 )
 
 
-def _exp_path(pts, exp_step: float = EXP_STEP) -> PathPolyline:
-    """Exponential of a lift polyline, subdivided to at most exp_step of lift
+def _exp_path(pts) -> PathPolyline:
+    """Exponential of a lift polyline, subdivided to at most EXP_STEP of lift
     arc per chord so the image is lifted stably."""
     out = []
     for a, b in zip(pts, pts[1:]):
-        n_sub = max(1, math.ceil(abs(b - a) / exp_step))
+        n_sub = max(1, math.ceil(abs(b - a) / EXP_STEP))
         for j in range(n_sub):
             out.append(cmath.exp(a + (b - a) * (j / n_sub)))
     out.append(cmath.exp(pts[-1]))

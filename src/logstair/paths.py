@@ -106,7 +106,6 @@ class LogLift:
     """Continuous logarithm image of a path, sampled at the path's points."""
 
     points: tuple
-    start_branch_im: float
 
     @property
     def start(self) -> complex:
@@ -171,7 +170,7 @@ def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
     lifted = [complex(math.log(abs(pts[0])), theta)]
     for a, b in zip(pts, pts[1:]):
         lifted.append(lift_point(a, lifted[-1].imag, b))
-    return LogLift(tuple(lifted), start_branch_im)
+    return LogLift(tuple(lifted))
 
 
 def winding_number(path: PathPolyline, start_branch_im: float = 0.0) -> int:

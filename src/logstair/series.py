@@ -4,7 +4,7 @@ recentering (Taylor shift), composition, and radius-of-convergence estimation.
 A germ is the data (center, a_0..a_K, radius_est).  radius_est is an estimate,
 not a certificate: constructors set it from structure (|z0| for log, 1-|z0|
 for h), composition uses a conservative contraction rule, and recentering
-shrinks it by the shift length unless re-estimation is requested.
+shrinks it by the shift length.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class Germ:
     center: complex
     coeffs: tuple
     radius_est: float
-    provenance: str  # log | h | composed | recentered
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
@@ -85,18 +84,16 @@ def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
     for k in range(1, order + 1):
         coeffs.append((-1.0) ** (k - 1) / (k * zk))
         zk *= z0
-    return Germ(z0, tuple(coeffs), abs(z0), "log")
+    return Germ(z0, tuple(coeffs), abs(z0))
 
 
-def eval_h(z, eps: float = 1e-12) -> complex:
+def eval_h(z) -> complex:
     """Sum of z^(2^nu) over nu >= 0, truncated once the geometric tail bound
-    |z|^(2^(K+1)) / (1 - |z|) drops below eps."""
+    |z|^(2^(K+1)) / (1 - |z|) drops below COEFF_TOL."""
     z = complex(z)
     r = abs(z)
     if r >= 1.0:
         raise OutsideDisc(f"h is only defined for |z| < 1, got |z| = {r}")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if z == 0:
         return 0j
     total = 0j
@@ -104,18 +101,18 @@ def eval_h(z, eps: float = 1e-12) -> complex:
     while True:
         total += p
         p = p * p
-        if abs(p) / (1.0 - r) < eps:
+        if abs(p) / (1.0 - r) < COEFF_TOL:
             return total
 
 
-def h_germ(z0, order: int = DEFAULT_ORDER, coeff_tol: float = COEFF_TOL) -> Germ:
+def h_germ(z0, order: int = DEFAULT_ORDER) -> Germ:
     """Taylor germ of the gap series at z0, |z0| < 1.
 
     a_k = sum over nu with 2^nu >= k of C(2^nu, k) z0^(2^nu - k), accumulated
     in log space (the binomials and powers individually overflow long before
     the products do).  Levels are added until the largest remaining term is
-    safely below coeff_tol; past the peak the terms decay faster than any
-    geometric series, so the cut tail is below coeff_tol as well.
+    safely below COEFF_TOL; past the peak the terms decay faster than any
+    geometric series, so the cut tail is below COEFF_TOL as well.
     radius_est = 1 - |z0|: nothing closer than the unit circle is singular.
 
     Very close to the circle the coefficients themselves exceed the double
@@ -138,7 +135,7 @@ def h_germ(z0, order: int = DEFAULT_ORDER, coeff_tol: float = COEFF_TOL) -> Germ
     else:
         lr = math.log(r)
         ph = cmath.phase(z0)
-        log_tol = math.log(coeff_tol)
+        log_tol = math.log(COEFF_TOL)
         lg_k = [lgamma(k + 1) for k in range(order + 1)]
         nu = 0
         prev_top = math.inf
@@ -162,38 +159,26 @@ def h_germ(z0, order: int = DEFAULT_ORDER, coeff_tol: float = COEFF_TOL) -> Germ
                 break
             prev_top = top
             nu += 1
-    return Germ(z0, tuple(coeffs), 1.0 - r, "h")
+    return Germ(z0, tuple(coeffs), 1.0 - r)
 
 
-def recenter(
-    g: Germ,
-    new_center,
-    step_safety: float = STEP_SAFETY,
-    reestimate: bool = False,
-) -> Germ:
-    """Taylor-shift g to new_center (must lie within step_safety * radius_est).
+def recenter(g: Germ, new_center) -> Germ:
+    """Taylor-shift g to new_center (must lie within STEP_SAFETY * radius_est).
 
-    The new radius_est is the conservative g.radius_est - |shift|; with
-    reestimate=True it is replaced by the Cauchy-Hadamard estimate of the
-    shifted coefficients (a diagnostic, not a bound).
+    The new radius_est is the conservative g.radius_est - |shift|.
     """
     new_center = complex(new_center)
     d = new_center - g.center
-    if not abs(d) < step_safety * g.radius_est:
+    if not abs(d) < STEP_SAFETY * g.radius_est:
         raise StepTooLarge(
-            f"shift {abs(d):.6g} exceeds {step_safety} * radius {g.radius_est:.6g}"
+            f"shift {abs(d):.6g} exceeds {STEP_SAFETY} * radius {g.radius_est:.6g}"
         )
     b = list(g.coeffs)
     top = len(b) - 1
     for j in range(top):
         for k in range(top - 1, j - 1, -1):
             b[k] += d * b[k + 1]
-    radius = g.radius_est - abs(d)
-    if reestimate and len(b) >= 8:
-        est = estimate_radius(b)
-        if math.isfinite(est):
-            radius = est
-    return Germ(new_center, tuple(b), radius, "recentered")
+    return Germ(new_center, tuple(b), g.radius_est - abs(d))
 
 
 def compose(outer: Germ, inner: Germ) -> Germ:
@@ -227,7 +212,7 @@ def compose(outer: Germ, inner: Germ) -> Germ:
             "(outer germ varies too violently over inner's range)"
         )
     radius = _composed_radius(np.abs(c), outer.radius_est, inner.radius_est)
-    return Germ(inner.center, tuple(acc), radius, "composed")
+    return Germ(inner.center, tuple(acc), radius)
 
 
 def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:

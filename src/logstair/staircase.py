@@ -20,6 +20,11 @@ from .errors import BadTruncation
 TWO_PI = 2.0 * math.pi
 GEOM_TOL = 1e-9
 
+# Every path starts at the base point; its lift on branch 0 is the base lift
+# point, where the disc map is normalized and routes begin.
+BASE_POINT = 0.5 + 0j
+BASE_LIFT = complex(math.log(0.5), 0.0)
+
 
 def column(x: float, tol: float = GEOM_TOL) -> int:
     """Index n of the column whose floor 2*pi*n bounds the domain at real

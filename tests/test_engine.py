@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logstair import engine
 from logstair import (
     CenterMismatch,
-    EngineOptions,
     Germ,
     NoRefresh,
     WrongBasePoint,
@@ -68,7 +68,11 @@ class TestContinueAlong:
         assert max(seen) < 1e-14
 
     def test_h_germ_refreshes_by_rebuild(self):
-        chain = continue_along(h_germ(0.1, 64), validate_path([0.1, 0.4]))
+        chain = continue_along(
+            h_germ(0.1, 64),
+            validate_path([0.1, 0.4]),
+            refresh=lambda center, lift, hint: h_germ(center, 64),
+        )
         assert chain.completed
         assert abs(chain.final.coeffs[0] - eval_h(0.4)) < 1e-11
 
@@ -77,18 +81,20 @@ class TestContinueAlong:
             continue_along(log_germ(1.0, 0.0), validate_path([0.5, 2.0]))
 
     def test_radius_floor_failure(self):
-        tiny = Germ(0.5, (0.0, 1.0), 5e-5, "custom")
+        tiny = Germ(0.5, (0.0, 1.0), 5e-5)
         chain = continue_along(tiny, validate_path([0.5, 2.0]))
         assert not chain.completed
         assert chain.t_fail == 0.0
         assert "floor" in chain.reason
 
     def test_step_without_refresh_raises(self):
-        # log coefficients under another provenance: there is no default
-        # refresh, and a Taylor shift alone carried this germ to 2 with the
-        # value -4e28 (ln 2 is right)
+        # only a germ equal to a log germ has a default refresh: an h germ
+        # and log coefficients with another radius need a hook (a Taylor
+        # shift alone carried log coefficients to 2 with the value -4e28)
+        with pytest.raises(NoRefresh):
+            continue_along(h_germ(0.1, 64), validate_path([0.1, 0.4]))
         g = log_germ(0.5, 0.0)
-        bare = Germ(g.center, g.coeffs, g.radius_est, "custom")
+        bare = Germ(g.center, g.coeffs, 0.4)
         with pytest.raises(NoRefresh):
             continue_along(bare, validate_path([0.5, 2.0]))
         # with a hook the same germ continues
@@ -100,9 +106,9 @@ class TestContinueAlong:
         assert chain.completed
         assert abs(chain.final.coeffs[0] - complex(LN2, math.pi / 2)) < 1e-10
 
-    def test_step_budget(self):
-        opts = EngineOptions(max_steps=3)
-        chain = continue_along(log_germ(0.5, 0.0), ccw_loop(turns=3), opts)
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_STEPS", 3)
+        chain = continue_along(log_germ(0.5, 0.0), ccw_loop(turns=3))
         assert not chain.completed
         assert "step" in chain.reason
 
