@@ -38,7 +38,7 @@ MIN_RESOLUTION = 64
 # Assembled h(psi(log z)) germs a map keeps, least recently used dropped
 # first. Routes from the base point climb the same corridor, so chains to
 # different targets refresh at the same (center, lift) pairs: over 20 sweep
-# targets about a third of the refreshes repeat an earlier pair. At the
+# targets 57-59% of the refreshes repeat an earlier pair. At the
 # default order a full memo raises peak memory by about 1.0 MB; 512 entries
 # raised it by 1.3 MB with no gain in throughput.
 MEMO_CAPACITY = 384

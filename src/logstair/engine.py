@@ -8,13 +8,12 @@ being validated.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
-from .paths import PathPolyline, lift_at, lift_point
+from .paths import PathPolyline, lift_point
 from .series import STEP_SAFETY, Germ, log_germ
 from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
@@ -59,41 +58,40 @@ class CrosscheckReport:
     detail: str
 
 
-def _vertex_params(path: PathPolyline):
-    total = path.total_length
-    if total == 0.0:
-        return [0.0] * len(path.points)
-    return [c / total for c in path._cumlen]
+def _step(path: PathPolyline, i: int, u: float, center: complex, cap: float):
+    """One engine step along `path` from fraction u of segment i: the
+    furthest position (j, v), fraction v of segment j, up to which the path
+    stays within distance cap of center, with its path parameter t, its
+    point z and the log lift there, as (j, v, t, z, lift).  The path's end
+    is (len(points) - 1, 0.0, 1.0, path.end, the last vertex's lift).
 
-
-def _advance(path: PathPolyline, vert_ts, t0: float, center: complex, cap: float) -> float:
-    """Largest parameter t >= t0 such that the sub-path [t0, t] stays within
-    distance cap of center, located by bisection.  On a polyline the distance
-    along each chord is convex, so checking interior vertices plus the moving
-    endpoint is exact."""
+    The distance to center is convex along each chord, so the path stays
+    inside while its vertices do.  On the first segment (a, b) whose far
+    vertex lies outside, the exit is the larger root v of
+    |a + v(b - a) - center| = cap, and z and the lift are computed from a and
+    b alone: paths that share a run of segments step through the same bits.
+    """
     cap = cap * (1.0 - 1e-12)
-    lo_idx = bisect.bisect_right(vert_ts, t0)
-
-    def ok(t: float) -> bool:
-        if abs(path.point_at(t) - center) > cap:
-            return False
-        idx = lo_idx
-        while idx < len(vert_ts) and vert_ts[idx] < t:
-            if abs(path.points[idx] - center) > cap:
-                return False
-            idx += 1
-        return True
-
-    if ok(1.0):
-        return 1.0
-    lo, hi = t0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    pts, cum, lifted = path.points, path._cumlen, path._lift
+    for j in range(i, len(pts) - 1):
+        b = pts[j + 1]
+        if abs(b - center) <= cap:
+            continue
+        a = pts[j]
+        d, w = b - a, a - center
+        qa = d.real * d.real + d.imag * d.imag
+        qb = w.real * d.real + w.imag * d.imag
+        qc = w.real * w.real + w.imag * w.imag - cap * cap
+        # the discriminant qb^2 - qa qc, written as qa cap^2 - cross(w, d)^2
+        # so that it does not cancel when a lies far from center
+        cross = w.real * d.imag - w.imag * d.real
+        root = math.sqrt(max(qa * cap * cap - cross * cross, 0.0))
+        # the cancellation-free form of the larger root for either sign of qb
+        v = min(1.0, (root - qb) / qa if qb <= 0.0 else -qc / (qb + root))
+        z = a + v * d
+        t = (cum[j] + v * (cum[j + 1] - cum[j])) / cum[-1]
+        return j, v, t, z, lift_point(a, lifted[j].imag, z)
+    return len(pts) - 1, 0.0, 1.0, path.end, lifted[-1]
 
 
 def continue_along(
@@ -105,8 +103,11 @@ def continue_along(
     current radius estimate.
 
     Each step rebuilds an authoritative germ at the next center with
-    `refresh(center, lift, hint)`, where lift is lift_at(path, t) at that
-    center and hint is the current germ's value there.  A hook is a pure
+    `refresh(center, lift, hint)`, where lift is the path's log lift at
+    center and hint is the current germ's value there.  Each step is located
+    on one segment (see _step), so paths that share segments hand the hook
+    bit-identical (center, lift) pairs there, and the last step hands it
+    path.end and the lift of the last vertex.  A hook is a pure
     function of its arguments, so one hook serves any number of runs.  With
     no hook, a germ equal to log_germ(center, Im a_0, order) is rebuilt as
     the log branch through hint; any other germ needs a hook: a Taylor shift
@@ -127,11 +128,10 @@ def continue_along(
         and start == log_germ(start.center, start.coeffs[0].imag, order)
     ):
         refresh = lambda center, lift, hint: log_germ(center, hint.imag, order)
-    vert_ts = _vertex_params(path)
     elements = [start]
     breaks = [0.0]
     g = start
-    t = 0.0
+    i, u, t = 0, 0.0, 0.0
     steps = 0
 
     def _failed(reason: str) -> ContinuationChain:
@@ -147,13 +147,14 @@ def continue_along(
         if steps >= MAX_STEPS:
             return _failed(f"exceeded {MAX_STEPS} steps")
         steps += 1
-        t_next = _advance(path, vert_ts, t, g.center, STEP_SAFETY * g.radius_est)
+        j, v, t_next, center, lift = _step(
+            path, i, u, g.center, STEP_SAFETY * g.radius_est
+        )
         if not t_next > t:
             return _failed("no forward progress along the path")
         if refresh is None:
             raise NoRefresh("only a log germ has a default refresh; pass a hook")
-        center = path.point_at(t_next)
-        lift, hint = lift_at(path, t_next), g.eval(center)
+        hint = g.eval(center)
         try:
             g_next = refresh(center, lift, hint)
         except LogstairError as exc:
@@ -161,7 +162,7 @@ def continue_along(
         elements.append(g_next)
         breaks.append(t_next)
         g = g_next
-        t = t_next
+        i, u, t = j, v, t_next
 
 
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:

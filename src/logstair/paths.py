@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyPath, SegmentThroughOrigin
 from .staircase import _seg_dist

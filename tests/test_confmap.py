@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -323,6 +324,42 @@ class TestGermMemo:
         on_fresh = continue_along(f_germ_at_base(fresh), path, refresh=FRefresh(fresh))
         assert on_warm.completed
         assert on_fresh == on_warm
+
+    def test_shared_trunk_steps_through_the_same_bits(self, trunc, local_model_calls):
+        # each step is solved on one segment of the route, so routes that
+        # share their first segments refresh at bit-identical (center, lift)
+        # pairs, and the memo serves the whole trunk
+        cmap = build_map(trunc, 256)
+        fgerm = f_germ_at_base(cmap)
+        refresh = FRefresh(cmap)
+        keys = {}
+
+        def run(target):
+            seen = keys[target] = []
+
+            def hook(center, lift, hint):
+                seen.append(struct.pack("4d", center.real, center.imag, lift.real, lift.imag))
+                return refresh(center, lift, hint)
+
+            return continue_along(fgerm, reach_path(target), refresh=hook)
+
+        chains = {target: run(target) for target in (1.5 + 1.5j, 2j, 3j, 2.5)}
+        local_model_calls.clear()
+        run(4)
+        assert len(local_model_calls) <= 1
+        # the last refresh of a completed chain gets the path's end and the
+        # lift of its last vertex
+        assert chains[2j].completed
+        end, lift_end = reach_path(2j).end, reach_path(2j)._lift[-1]
+        assert keys[2j][-1] == struct.pack("4d", end.real, end.imag, lift_end.real, lift_end.imag)
+        # every step of the chain to 3j that lands on the segments its route
+        # shares with the route to 4 is repeated bit for bit
+        p3, p4 = reach_path(3j), reach_path(4)
+        shared = next(k for k, (a, b) in enumerate(zip(p3.points, p4.points)) if a != b)
+        trunk_t = p3._cumlen[shared - 1] / p3.total_length
+        on_trunk = sum(t < trunk_t for t in chains[3j].breakpoints[1:])
+        assert on_trunk > 10
+        assert keys[4][:on_trunk] == keys[3j][:on_trunk]
 
     def test_memo_is_bounded(self, trunc, monkeypatch):
         monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)

@@ -1,8 +1,9 @@
+import bisect
 import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from logstair import engine
@@ -219,3 +220,71 @@ def test_log_chain_radii_track_centers(polar_pts):
     chain = continue_along(log_germ(0.5, 0.0), path)
     for t, g in zip(chain.breakpoints, chain.elements):
         assert abs(g.radius_est - abs(g.center)) <= 0.15 * abs(g.center)
+
+
+def _bisected_step(path, t0, center, cap):
+    """Largest parameter t >= t0 such that the sub-path [t0, t] stays within
+    distance cap of center, by 60 bisections over the path parameter: the
+    engine's step before it was solved on one segment."""
+    total = path.total_length
+    if total == 0.0:
+        vert_ts = [0.0] * len(path.points)
+    else:
+        vert_ts = [c / total for c in path._cumlen]
+    cap = cap * (1.0 - 1e-12)
+    lo_idx = bisect.bisect_right(vert_ts, t0)
+
+    def ok(t):
+        if abs(path.point_at(t) - center) > cap:
+            return False
+        idx = lo_idx
+        while idx < len(vert_ts) and vert_ts[idx] < t:
+            if abs(path.points[idx] - center) > cap:
+                return False
+            idx += 1
+        return True
+
+    if ok(1.0):
+        return 1.0
+    lo, hi = t0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# a vertex flagged True is repeated, which makes a zero-length segment
+vertex = st.tuples(polar, st.booleans())
+
+
+@given(st.lists(vertex, max_size=6), st.lists(st.floats(0.01, 2.0), min_size=1, max_size=8))
+@example([((0.5, 0.0), True), ((0.5, 0.0), False)], [0.3])  # all points equal
+@example([], [0.3])  # a single point
+@settings(max_examples=150, deadline=None)
+def test_step_solves_the_exit_on_one_segment(vertices, caps):
+    pts = [0.5]
+    for (r, a), repeat in vertices:
+        pts.extend([r * cmath.exp(1j * a)] * (2 if repeat else 1))
+    try:
+        path = validate_path(pts)
+    except Exception:
+        assume(False)
+    last = len(path.points) - 1
+    i, u, t, center = 0, 0.0, 0.0, path.start
+    for cap in caps:
+        if t >= 1.0:
+            break
+        j, v, t_next, z, lift = engine._step(path, i, u, center, cap)
+        limit = cap * (1.0 - 1e-12)
+        if j == last:
+            assert (v, t_next, z, lift) == (0.0, 1.0, path.end, path._lift[-1])
+        else:
+            assert abs(abs(z - center) - limit) <= 1e-12 * limit
+            assert abs(lift - lift_at(path, t_next)) < 1e-12
+        assert all(abs(p - center) <= limit for p in path.points[i + 1 : j + 1])
+        assert abs(t_next - _bisected_step(path, t, center, cap)) <= 1e-12
+        assert t_next > t
+        i, u, t, center = j, v, t_next, z
