@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 import struct
 from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BadTruncation, DegenerateBoundary, ModelUnresolved, OutsideDomain
-from .series import DEFAULT_ORDER, Germ, compose, h_germ, log_germ
+from .series import DEFAULT_ORDER, Germ, compose, compose_log, h_germ
 from .staircase import BASE_LIFT, BASE_POINT, TWO_PI, Truncation
 
 _SCALE = 1.0 - 1e-7
@@ -242,11 +243,7 @@ class ConformalMap:
         if not self.truncation.contains(zeta):
             raise OutsideDomain(f"{zeta} is not interior to the truncated staircase")
         d = self.truncation.boundary_distance(zeta)
-        m = 128
-        while m < 2 * (order + 1):
-            m *= 2
-        unit = np.exp(1j * TWO_PI * np.arange(m) / m)
-        powers = np.arange(order + 1)
+        m, unit, powers = _ring_layout(order)
         for frac in RING_LADDER:
             r = frac * d
             vals = self._eval_raw(np.append(zeta + r * unit, zeta))
@@ -283,13 +280,25 @@ class ConformalMap:
         if entry is not None:
             self._germs[key] = entry
             return Germ(center, entry[0].tolist(), entry[1])
-        lam = log_germ(center, lift.imag, order)
-        mid = compose(self.local_model(lift, order), lam)
+        mid = compose_log(self.local_model(lift, order), center, lift.imag, order)
         germ = compose(h_germ(mid.coeffs[0], order), mid)
         self._germs[key] = (np.array(germ.coeffs), germ.radius_est)
         if len(self._germs) > MEMO_CAPACITY:
             self._germs.popitem(last=False)
         return germ
+
+
+@lru_cache(maxsize=None)
+def _ring_layout(order: int):
+    """local_model's sample count m (a power of two, at least 128 and
+    2 * (order + 1)), its m-th roots of unity and the exponents 0..order."""
+    m = 128
+    while m < 2 * (order + 1):
+        m *= 2
+    unit = np.exp(1j * TWO_PI * np.arange(m) / m)
+    powers = np.arange(order + 1)
+    unit.flags.writeable = powers.flags.writeable = False
+    return m, unit, powers
 
 
 def build_map(truncation, resolution: int) -> ConformalMap:

@@ -165,6 +165,12 @@ def continue_along(
         i, u, t = j, v, t_next
 
 
+# The last verdict of continuable_exact with its (path, geom_tol): reach_path
+# certifies a route with the oracle and crosscheck then asks about the same
+# path again.
+_last_verdict = (None, None)
+
+
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:
     """Exact continuability oracle: the germ continues along `path` precisely
     when the logarithm lift (start branch 0) stays interior to the staircase.
@@ -173,8 +179,21 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     non-interior sample is sharpened by bisection.  Exits are reported as
     "corner" only when the offending point sits at a staircase corner AND the
     path terminates there (a lift merely passing through a corner is an
-    ordinary blocked exit).
+    ordinary blocked exit).  The verdict is a pure function of the path's
+    points and geom_tol, and a call that repeats the previous one returns
+    its verdict again.
     """
+    global _last_verdict
+    key, verdict = _last_verdict
+    if key == (path, geom_tol):
+        return verdict
+    verdict = _sample_lift(path, geom_tol)
+    _last_verdict = ((path, geom_tol), verdict)
+    return verdict
+
+
+def _sample_lift(path: PathPolyline, geom_tol: float) -> OracleVerdict:
+    """The oracle of continuable_exact, run afresh."""
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
     lifted = path._lift

@@ -18,7 +18,7 @@ from typing import Optional
 from .engine import ContinuationChain, continuable_exact, continue_along
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, validate_path
-from .series import DEFAULT_ORDER, Germ, compose, log_germ
+from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
 from .staircase import (
     BASE_LIFT,
     BASE_POINT,
@@ -253,9 +253,8 @@ class _LogLogRefresh:
 
     def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
         inner = lift + complex(0.0, self.inner_branch_im)
-        return compose(
-            log_germ(inner, hint.imag, self.order),
-            log_germ(center, inner.imag, self.order),
+        return compose_log(
+            log_germ(inner, hint.imag, self.order), center, inner.imag, self.order
         )
 
 
@@ -271,19 +270,19 @@ def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
     """
     gamma = validate_path([cmath.e, 1.0])
 
-    ell1 = log_germ(cmath.e, 0.0, order)
     ell2 = log_germ(1.0, 0.0, order)
     branch_a = continue_along(
-        compose(ell2, ell1), gamma, refresh=_LogLogRefresh(0.0, order)
+        compose_log(ell2, cmath.e, 0.0, order),
+        gamma,
+        refresh=_LogLogRefresh(0.0, order),
     )
 
     prep = continue_along(ell2, validate_path([1.0, complex(1.0, TWO_PI)]))
     if not prep.completed:  # a straight segment away from 0; cannot happen
         raise RoutingFailure("outer log germ failed along [1, 1+2*pi*i]")
     ell2_shifted = prep.final
-    ell3 = log_germ(cmath.e, TWO_PI, order)
     branch_b = continue_along(
-        compose(ell2_shifted, ell3),
+        compose_log(ell2_shifted, cmath.e, TWO_PI, order),
         gamma,
         refresh=_LogLogRefresh(TWO_PI, order),
     )

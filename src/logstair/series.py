@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
@@ -126,7 +127,7 @@ def h_germ(z0, order: int = DEFAULT_ORDER) -> Germ:
         raise OutsideDisc(f"h germ needs |z0| < 1, got |z0| = {r}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs = [0j] * (order + 1)
     if z0 == 0:
         nu = 0
         while (1 << nu) <= order:
@@ -136,15 +137,13 @@ def h_germ(z0, order: int = DEFAULT_ORDER) -> Germ:
         lr = math.log(r)
         ph = cmath.phase(z0)
         log_tol = math.log(COEFF_TOL)
-        lg_k = [lgamma(k + 1) for k in range(order + 1)]
         nu = 0
         prev_top = math.inf
         while True:
             n = 1 << nu
-            lg_n = lgamma(n + 1)
             top = -math.inf
-            for k in range(min(order, n) + 1):
-                lt = lg_n - lg_k[k] - lgamma(n - k + 1) + (n - k) * lr
+            for k, lb in enumerate(_log_binomials(nu, order)):
+                lt = lb + (n - k) * lr
                 if lt > _LOG_HUGE:
                     raise OutsideDisc(
                         f"coefficient magnitude exp({lt:.0f}) exceeds double "
@@ -160,6 +159,17 @@ def h_germ(z0, order: int = DEFAULT_ORDER) -> Germ:
             prev_top = top
             nu += 1
     return Germ(z0, tuple(coeffs), 1.0 - r)
+
+
+@lru_cache(maxsize=None)
+def _log_binomials(nu: int, order: int) -> tuple:
+    """ln C(n, k) for n = 2^nu and k = 0..min(order, n), each evaluated as
+    lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) in that order."""
+    n = 1 << nu
+    lg_n = lgamma(n + 1)
+    return tuple(
+        lg_n - lgamma(k + 1) - lgamma(n - k + 1) for k in range(min(order, n) + 1)
+    )
 
 
 def recenter(g: Germ, new_center) -> Germ:
@@ -190,6 +200,9 @@ def compose(outer: Germ, inner: Germ) -> Germ:
     |c_0| + sum |c_k| r^k <= outer.radius_est, c being inner's coefficients
     relative to outer.center -- i.e. the disc the inner germ provably cannot
     map outside outer's disc.
+
+    The Horner steps multiply by the lower-triangular Toeplitz matrix of c,
+    which is the truncated product with inner's series.
     """
     gap = abs(inner.coeffs[0] - outer.center)
     if not gap < outer.radius_est:
@@ -198,21 +211,77 @@ def compose(outer: Germ, inner: Germ) -> Germ:
             f"radius {outer.radius_est:.6g}"
         )
     K = min(outer.order, inner.order)
-    c = np.empty(K + 1, dtype=complex)
+    c = np.zeros(K + 2, dtype=complex)  # c[K + 1] fills the upper triangle
     c[0] = inner.coeffs[0] - outer.center
-    c[1:] = inner.coeffs[1 : K + 1]
+    c[1 : K + 1] = inner.coeffs[1 : K + 1]
+    toeplitz = c[_toeplitz_index(K)]
     acc = np.zeros(K + 1, dtype=complex)
     acc[0] = outer.coeffs[K]
-    for j in range(K - 1, -1, -1):
-        acc = np.convolve(acc, c)[: K + 1]
-        acc[0] += outer.coeffs[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(K - 1, -1, -1):
+            acc = toeplitz @ acc
+            acc[0] += outer.coeffs[j]
+    _check_finite(acc)
+    radius = _composed_radius(np.abs(c[: K + 1]), outer.radius_est, inner.radius_est)
+    return Germ(inner.center, tuple(acc), radius)
+
+
+def compose_log(outer: Germ, center, branch_im: float, order: int) -> Germ:
+    """compose(outer, log_germ(center, branch_im, order)), by one product
+    with a table when the log's value at center is outer.center exactly.
+
+    With v = (z - center) / center the inner series is then
+    outer.center + log(1 + v), so coefficient n of the composition is
+    center^-n sum_k [v^n] log(1 + v)^k outer_k: substituting a log is a
+    fixed linear map.  The radius is compose's, from the same coefficients.
+    """
+    lam = log_germ(center, branch_im, order)
+    if lam.coeffs[0] != outer.center:
+        return compose(outer, lam)
+    K = min(outer.order, order)
+    mag = np.abs(lam.coeffs[: K + 1])
+    mag[0] = 0.0  # |c_0|, the gap to outer.center
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = _log_power_table(K) @ np.array(outer.coeffs[: K + 1])
+        acc *= lam.center ** -np.arange(K + 1)
+    _check_finite(acc)
+    radius = _composed_radius(mag, outer.radius_est, lam.radius_est)
+    return Germ(lam.center, tuple(acc), radius)
+
+
+def _check_finite(acc) -> None:
     if not np.all(np.isfinite(acc.view(float))):
         raise CompositionOutOfRange(
             "composed coefficients exceed double precision "
             "(outer germ varies too violently over inner's range)"
         )
-    radius = _composed_radius(np.abs(c), outer.radius_est, inner.radius_est)
-    return Germ(inner.center, tuple(acc), radius)
+
+
+@lru_cache(maxsize=None)
+def _toeplitz_index(K: int):
+    """Index into c[0..K+1] that gathers the (K+1)-square lower-triangular
+    Toeplitz matrix of c[0..K], with c[K+1] = 0 above the diagonal."""
+    n = np.arange(K + 1)
+    index = n[:, None] - n[None, :]
+    index[index < 0] = K + 1
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=None)
+def _log_power_table(K: int):
+    """T[n, k] = [v^n] log(1 + v)^k for 0 <= n, k <= K: k!/n! times the
+    Stirling numbers of the first kind, by the recurrence
+    T[n+1, k] = (k T[n, k-1] - n T[n, k]) / (n + 1), whose two terms have
+    the same sign."""
+    table = np.zeros((K + 1, K + 1))
+    table[0, 0] = 1.0
+    k = np.arange(1, K + 1)
+    for n in range(K):
+        table[n + 1, 1:] = (k * table[n, :-1] - n * table[n, 1:]) / (n + 1)
+    table = table.astype(complex)  # the products are with complex germs
+    table.flags.writeable = False
+    return table
 
 
 def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:

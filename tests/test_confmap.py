@@ -1,6 +1,7 @@
 import cmath
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,16 @@ class TestRefreshPath:
         assert len(chain.elements) - 1 == steps
         expected = eval_h(psi_eval(cmap, lift_log(path).end))
         assert abs(chain.final.coeffs[0] - expected) < 1e-6
+
+
+    def test_overflowing_chain_warns_nothing(self, cmap, fgerm):
+        # the route to 0.2 ends in a composition that overflows the double
+        # range; it is reported as a failed chain, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = continue_along(fgerm, reach_path(0.2), refresh=FRefresh(cmap))
+        assert not chain.completed
+        assert "exceed double precision" in chain.reason
 
 
 @pytest.fixture

@@ -21,8 +21,10 @@ from logstair import (
     lift_log,
     log_germ,
     overlap_disagreement,
+    reach_path,
     validate_path,
 )
+from logstair.staircase import GEOM_TOL
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -172,6 +174,56 @@ class TestCrosscheck:
         assert not report.agree
         assert report.chain.completed
         assert report.oracle.verdict == "blocked"
+
+
+@pytest.fixture
+def oracle_runs(monkeypatch):
+    """Counts the oracle's fresh runs, starting from an empty memo."""
+    runs = []
+    inner = engine._sample_lift
+
+    def counted(path, geom_tol):
+        runs.append((path, geom_tol))
+        return inner(path, geom_tol)
+
+    monkeypatch.setattr(engine, "_sample_lift", counted)
+    monkeypatch.setattr(engine, "_last_verdict", (None, None))
+    return runs
+
+
+class TestOracleMemo:
+    """continuable_exact keeps its last verdict, so crosscheck does not run
+    the oracle again on a path reach_path has just certified."""
+
+    def test_repeat_returns_the_verdict(self, oracle_runs):
+        path = validate_path([0.5, 2.0])
+        first = continuable_exact(path)
+        assert continuable_exact(path) is first
+        assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) is first
+        assert len(oracle_runs) == 1
+        assert continuable_exact(path, 1e-6).verdict == first.verdict
+        assert len(oracle_runs) == 2
+
+    def test_one_entry(self, oracle_runs):
+        a = validate_path([0.5, 2.0])
+        b = validate_path([0.5, 0.5 + 0.5j, 1j])
+        verdicts = [continuable_exact(p) for p in (a, b, a, a, b)]
+        assert oracle_runs == [(p, GEOM_TOL) for p in (a, b, a, b)]
+        assert verdicts[0] == verdicts[2] == verdicts[3] != verdicts[1] == verdicts[4]
+
+    def test_crosscheck_after_reach_path_runs_one_oracle(self, oracle_runs):
+        path = reach_path(-0.5)
+        report = crosscheck(path, log_germ(0.5, 0.0))
+        assert oracle_runs == [(path, GEOM_TOL)]
+        assert report.oracle == engine._sample_lift(path, GEOM_TOL)
+        assert report.oracle.verdict == "continuable"
+
+    def test_raising_call_is_not_stored(self, oracle_runs):
+        path = validate_path([1.0, 2.0])
+        for _ in range(2):
+            with pytest.raises(WrongBasePoint):
+                continuable_exact(path)
+        assert len(oracle_runs) == 2
 
 
 class TestOverlap:

@@ -1,9 +1,12 @@
 import cmath
 import math
+import warnings
+from fractions import Fraction
+from math import lgamma
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logstair import (
@@ -12,15 +15,25 @@ from logstair import (
     OutsideDisc,
     StepTooLarge,
     TooFewCoefficients,
+    Truncation,
     ZeroCenter,
+    build_map,
     compose,
     estimate_radius,
     eval_h,
     h_germ,
     log_germ,
+    lift_at,
+    reach_path,
     recenter,
 )
-from logstair.series import _composed_radius
+from logstair.series import (
+    _LOG_HUGE,
+    COEFF_TOL,
+    _composed_radius,
+    _log_power_table,
+    compose_log,
+)
 
 # Reference values for the gap series H(z) = sum_{nu>=0} z^(2^nu), computed
 # with 40-digit arithmetic (mpmath) and rounded to double precision.
@@ -297,3 +310,246 @@ def test_composed_radius_matches_polyval_bisection(mag, outer_radius, inner_radi
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _composed_radius_polyval(mag, outer_radius, inner_radius)
     assert _composed_radius(mag, outer_radius, inner_radius) == expected
+
+
+# ---------------------------------------------------------------------------
+# kernels against the code they replaced
+
+
+def _compose_convolve(outer, inner):
+    """Reference: compose with its Horner steps as np.convolve calls."""
+    gap = abs(inner.coeffs[0] - outer.center)
+    if not gap < outer.radius_est:
+        raise CompositionOutOfRange("gap")
+    K = min(outer.order, inner.order)
+    c = np.empty(K + 1, dtype=complex)
+    c[0] = inner.coeffs[0] - outer.center
+    c[1:] = inner.coeffs[1 : K + 1]
+    acc = np.zeros(K + 1, dtype=complex)
+    acc[0] = outer.coeffs[K]
+    for j in range(K - 1, -1, -1):
+        acc = np.convolve(acc, c)[: K + 1]
+        acc[0] += outer.coeffs[j]
+    if not np.all(np.isfinite(acc.view(float))):
+        raise CompositionOutOfRange("overflow")
+    radius = _composed_radius(np.abs(c), outer.radius_est, inner.radius_est)
+    return Germ(inner.center, tuple(acc), radius)
+
+
+def _h_germ_inline(z0, order):
+    """Reference: h_germ with its lgamma calls inline and an ndarray
+    accumulator."""
+    z0 = complex(z0)
+    r = abs(z0)
+    if r >= 1.0:
+        raise OutsideDisc(f"h germ needs |z0| < 1, got |z0| = {r}")
+    coeffs = np.zeros(order + 1, dtype=complex)
+    if z0 == 0:
+        nu = 0
+        while (1 << nu) <= order:
+            coeffs[1 << nu] = 1.0
+            nu += 1
+    else:
+        lr = math.log(r)
+        ph = cmath.phase(z0)
+        log_tol = math.log(COEFF_TOL)
+        lg_k = [lgamma(k + 1) for k in range(order + 1)]
+        nu = 0
+        prev_top = math.inf
+        while True:
+            n = 1 << nu
+            lg_n = lgamma(n + 1)
+            top = -math.inf
+            for k in range(min(order, n) + 1):
+                lt = lg_n - lg_k[k] - lgamma(n - k + 1) + (n - k) * lr
+                if lt > _LOG_HUGE:
+                    raise OutsideDisc(
+                        f"coefficient magnitude exp({lt:.0f}) exceeds double "
+                        f"precision: |z0| = {r} is numerically on the unit "
+                        f"circle at order {order}"
+                    )
+                if lt > top:
+                    top = lt
+                if lt > log_tol - 3.0:
+                    coeffs[k] += cmath.exp(complex(lt, (n - k) * ph))
+            if n >= order and top <= prev_top and top < log_tol - 1.5:
+                break
+            prev_top = top
+            nu += 1
+    return Germ(z0, tuple(coeffs), 1.0 - r)
+
+
+def _scaled_gap(got, ref, rho):
+    """max |got_k - ref_k| rho^k / max |ref_k| rho^k."""
+    w = rho ** np.arange(len(ref.coeffs))
+    diff = np.max(np.abs(np.subtract(got.coeffs, ref.coeffs)) * w)
+    return diff and diff / np.max(np.abs(ref.coeffs) * w)
+
+
+def _raises(fn, *args):
+    """The CompositionOutOfRange fn raises, or its result."""
+    try:
+        return fn(*args)
+    except CompositionOutOfRange as exc:
+        return exc
+
+
+unit_coeffs = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@given(
+    st.lists(unit_coeffs, min_size=1, max_size=65),
+    st.lists(unit_coeffs, min_size=1, max_size=65),
+    st.floats(-3.0, 4.5),
+    st.floats(-3.0, 4.5),
+    st.floats(0.0, 1.5),
+    st.floats(0.1, 10.0),
+)
+@example([1j] * 65, [1.0] * 65, 3.0, 3.0, 0.0, 1.0)  # overflows
+@example([1.0] * 65, [1.0] * 65, 0.0, 0.0, 1.0, 1.0)  # gap on the radius
+@settings(max_examples=200, deadline=None)
+def test_toeplitz_horner_matches_convolve(outer_m, inner_m, e_out, e_in, gap, radius):
+    # outer_k = m_k 10^(k e_out), inner_k = m_k 10^(k e_in); the inner value
+    # sits gap radii from outer's center
+    outer = Germ(
+        0.3 - 0.2j,
+        [m * 10.0 ** (k * e_out) for k, m in enumerate(outer_m)],
+        radius,
+    )
+    inner = Germ(
+        1.0 + 1.0j,
+        [0.3 - 0.2j + gap * radius * outer_m[0]]
+        + [m * 10.0 ** (k * e_in) for k, m in enumerate(inner_m)][1:],
+        2.0,
+    )
+    with np.errstate(all="ignore"):
+        ref = _raises(_compose_convolve, outer, inner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _raises(compose, outer, inner)
+    if isinstance(ref, CompositionOutOfRange):
+        assert isinstance(got, CompositionOutOfRange)
+        return
+    assert isinstance(got, Germ)
+    assert got.center == ref.center and got.radius_est == ref.radius_est
+    # rounding is bounded by the same composition on magnitudes
+    gaps = np.abs(np.subtract(inner.coeffs, (outer.center,) + (0,) * inner.order))
+    magnitudes = _raises(
+        _compose_convolve,
+        Germ(0.0, np.abs(outer.coeffs), math.inf),
+        Germ(0.0, gaps, 1.0),
+    )
+    if isinstance(magnitudes, CompositionOutOfRange):
+        return  # the bound itself overflows
+    bound = np.abs(magnitudes.coeffs)
+    diff = np.abs(np.array(got.coeffs) - np.array(ref.coeffs))
+    assert np.all(diff <= 1e-12 * bound)
+
+
+def test_overflowing_composition_raises_without_a_warning():
+    outer = Germ(0.0, (1e200,) * 65, 1e300)
+    inner = Germ(1.0, (0.0,) + (1e10,) * 64, 1.0)
+    log_outer = Germ(log_germ(1e-3).coeffs[0], (1e300,) * 65, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CompositionOutOfRange):
+            compose(outer, inner)
+        with pytest.raises(CompositionOutOfRange):
+            compose_log(log_outer, 1e-3, 0.0, 64)
+
+
+def _stirling_ratio_rows(K):
+    """Exact [v^n] log(1+v)^k = k!/n! s(n, k), s the signed Stirling numbers
+    of the first kind."""
+    s = [[1] + [0] * K]
+    for n in range(K):
+        prev = s[-1]
+        s.append([0] + [prev[k - 1] - n * prev[k] for k in range(1, K + 1)])
+    return [
+        [Fraction(math.factorial(k) * s[n][k], math.factorial(n)) for k in range(K + 1)]
+        for n in range(K + 1)
+    ]
+
+
+class TestLogSubstitution:
+    def test_table_is_the_stirling_table(self):
+        table = _log_power_table(64)
+        for n, row in enumerate(_stirling_ratio_rows(64)):
+            for k, exact in enumerate(row):
+                entry = table[n, k]
+                assert entry.imag == 0.0
+                if exact == 0:
+                    assert entry == 0.0
+                else:
+                    assert abs(Fraction(entry.real) / exact - 1) <= 1e-15
+        np.testing.assert_array_equal(_log_power_table(8), table[:9, :9])
+
+    def test_falls_back_off_the_log_value(self):
+        # the log's value at 2 is not the outer center: compose itself runs
+        outer = Germ(0.7 + 0.1j, [1.0, 0.5, 0.25, 0.125], 1.0)
+        got = compose_log(outer, 2.0, 0.0, 16)
+        assert got == compose(outer, log_germ(2.0, 0.0, 16))
+
+    @given(
+        st.lists(unit_coeffs, min_size=2, max_size=65),
+        st.floats(0.05, 20.0),
+        st.floats(-math.pi, math.pi),
+        st.floats(-10.0, 10.0),
+        st.integers(1, 64),
+        st.floats(0.05, 5.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_compose(self, outer_m, modulus, angle, branch, order, radius):
+        center = cmath.rect(modulus, angle)
+        lam = log_germ(center, branch, order)
+        outer = Germ(
+            lam.coeffs[0], [m / radius**k for k, m in enumerate(outer_m)], radius
+        )
+        ref = _compose_convolve(outer, lam)
+        got = compose_log(outer, center, branch, order)
+        assert got.center == ref.center and got.radius_est == ref.radius_est
+        assert got.coeffs[0] == ref.coeffs[0]
+        assert _scaled_gap(got, ref, got.radius_est) <= 1e-13
+
+    def test_matches_compose_on_map_lifts(self):
+        # the local models the refresh composes, along routed paths
+        cmap = build_map(Truncation(-2, 2, 8 * math.pi), 256)
+        checked = 0
+        for target in (2j, 2.5, -1j, 0.2, 1 + 0.01j):
+            path = reach_path(target)
+            for t in np.linspace(0.0, 1.0, 24):
+                center, lift = path.point_at(t), lift_at(path, t)
+                outer = cmap.local_model(lift)
+                ref = _compose_convolve(outer, log_germ(center, lift.imag, 64))
+                got = compose_log(outer, center, lift.imag, 64)
+                assert got.radius_est == ref.radius_est
+                assert got.coeffs[0] == ref.coeffs[0]
+                assert _scaled_gap(got, ref, got.radius_est) <= 1e-13
+                checked += 1
+        assert checked == 120
+
+
+class TestHGermTable:
+    @given(
+        st.floats(0.0, 0.999),
+        st.floats(-math.pi, math.pi),
+        st.sampled_from([8, 33, 64]),
+    )
+    @example(0.999, 0.3, 64)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_inline_loop(self, r, a, order):
+        z0 = cmath.rect(r, a)
+        assert h_germ(z0, order) == _h_germ_inline(z0, order)
+
+    def test_equals_the_inline_loop_at_zero(self):
+        for order in (1, 8, 64):
+            got = h_germ(0j, order)
+            assert got == _h_germ_inline(0j, order)
+
+    def test_raises_as_the_inline_loop(self):
+        z0 = cmath.rect(0.99999, 1.0)
+        with pytest.raises(OutsideDisc) as ref:
+            _h_germ_inline(z0, 64)
+        with pytest.raises(OutsideDisc) as got:
+            h_germ(z0, 64)
+        assert str(got.value) == str(ref.value)
