@@ -280,7 +280,7 @@ class ConformalMap:
         if entry is not None:
             self._germs[key] = entry
             return Germ(center, entry[0].tolist(), entry[1])
-        mid = compose_log(self.local_model(lift, order), center, lift.imag, order)
+        mid = compose_log(self.local_model(lift, order), center)
         germ = compose(h_germ(mid.coeffs[0], order), mid)
         self._germs[key] = (np.array(germ.coeffs), germ.radius_est)
         if len(self._germs) > MEMO_CAPACITY:

@@ -4,8 +4,9 @@ index against the exact lift oracle, and run the two-branch log-log example.
 
 Path construction works in the lift plane: a polyline is routed from the base
 lift point through the staircase interior (ascending over each glue threshold
-before crossing it), and the actual path in C* is its exponential, sampled
-finely enough for stable lifting.
+before crossing it), and the actual path in C* is its exponential, whose
+chords lift to within 1.25e-3 of the route (see _exp_path).  Every route is
+certified once, by the exact oracle on the path the engine walks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .staircase import (
     BASE_POINT,
     GEOM_TOL,
     TWO_PI,
-    boundary_distance,
     choose_lift_target,
     column,
     corner_at,
@@ -74,77 +74,43 @@ class ExpExpReport:
 def _route_lift(target: complex):
     """Waypoints from the base lift point to `target` inside the staircase.
 
-    Rightward travel ascends above each glue threshold (plus ROUTE_CLEARANCE)
-    before crossing to the next column midline; leftward travel uses a single
-    corridor above every threshold it passes.  The last two legs approach the
-    target directly and are only required to stay interior -- the target may
-    legitimately sit closer to the boundary than the trunk clearance.
+    The route ascends above each glue threshold (plus ROUTE_CLEARANCE)
+    before crossing to the next column midline; a target left of the base
+    column needs no crossing.  The last two legs approach the target
+    directly and are only required to stay interior -- the target may
+    legitimately sit closer to the boundary than the trunk clearance.  Each
+    waypoint is appended under a strict inequality, so no two consecutive
+    waypoints are equal.
     """
-    x0, y0 = BASE_LIFT.real, BASE_LIFT.imag
     xt, yt = target.real, target.imag
-    c0 = column(x0)
     ct = column(xt)
     on_glue = abs(xt - ct) <= GEOM_TOL  # column() snapped xt onto glue line ct
-    pts = [complex(x0, y0)]
-    x_cur, y_cur = x0, y0
-
-    if ct >= c0:
-        for c in range(c0 + 1, ct + 1):
-            y_need = TWO_PI * c + ROUTE_CLEARANCE
-            if y_cur < y_need:
-                pts.append(complex(x_cur, y_need))
-                y_cur = y_need
-            # land exactly on the glue line when it is the destination
-            x_next = float(c) if (c == ct and on_glue) else c + 0.5
-            pts.append(complex(x_next, y_cur))
-            x_cur = x_next
-        y_f = max(y_cur, yt)
-        if y_f > y_cur:
-            pts.append(complex(x_cur, y_f))
-            y_cur = y_f
-        if x_cur != xt:
-            pts.append(complex(xt, y_cur))
-            x_cur = xt
-    else:
-        y_f = max(y0, yt)
-        if y_f > y_cur:
-            pts.append(complex(x_cur, y_f))
-            y_cur = y_f
+    pts = [BASE_LIFT]
+    x_cur, y_cur = BASE_LIFT.real, BASE_LIFT.imag
+    for c in range(column(x_cur) + 1, ct + 1):
+        y_need = TWO_PI * c + ROUTE_CLEARANCE
+        if y_cur < y_need:
+            pts.append(complex(x_cur, y_need))
+            y_cur = y_need
+        # land exactly on the glue line when it is the destination
+        x_cur = float(c) if (c == ct and on_glue) else c + 0.5
+        pts.append(complex(x_cur, y_cur))
+    if yt > y_cur:
+        pts.append(complex(x_cur, yt))
+        y_cur = yt
+    if x_cur != xt:
         pts.append(complex(xt, y_cur))
-        x_cur = xt
     if y_cur != yt:
         pts.append(complex(xt, yt))
-
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p != out[-1]:
-            out.append(p)
-    return out
-
-
-def _verify_route(pts) -> None:
-    """Interior check along every leg; trunk legs must also keep
-    ROUTE_CLEARANCE (the final two legs are exempt, see _route_lift)."""
-    n_legs = len(pts) - 1
-    for i in range(n_legs):
-        a, b = pts[i], pts[i + 1]
-        relaxed = i >= n_legs - 2
-        n_sub = max(1, math.ceil(abs(b - a) / (0.5 * ROUTE_CLEARANCE)))
-        for j in range(n_sub + 1):
-            p = a + (b - a) * (j / n_sub)
-            if j == 0 and i == 0 and p == BASE_LIFT:
-                continue
-            if not in_interior(p) and p != pts[-1]:
-                raise RoutingFailure(f"waypoint {p} left the staircase interior")
-            if not relaxed and boundary_distance(p) < 0.999 * ROUTE_CLEARANCE:
-                raise RoutingFailure(
-                    f"waypoint {p} violates the routing clearance {ROUTE_CLEARANCE}"
-                )
+    return pts
 
 
 def _exp_path(pts) -> PathPolyline:
     """Exponential of a lift polyline, subdivided to at most EXP_STEP of lift
-    arc per chord so the image is lifted stably."""
+    arc per chord.  A horizontal leg maps to a ray, whose chords lift
+    exactly onto the leg.  On a vertical leg a chord spanning EXP_STEP lifts
+    at most -ln cos(EXP_STEP/2) ~ 1.25e-3 left of the leg, far inside
+    ROUTE_CLEARANCE."""
     out = []
     for a, b in zip(pts, pts[1:]):
         n_sub = max(1, math.ceil(abs(b - a) / EXP_STEP))
@@ -161,9 +127,17 @@ def _exp_path(pts) -> PathPolyline:
 
 
 def _path_to_lift(target: complex) -> PathPolyline:
-    route = _route_lift(target)
-    _verify_route(route)
-    return _exp_path(route)
+    """The exponential of the route to `target`, certified by the exact
+    oracle: the path must be continuable and its lift must end within 1e-7
+    of `target`.  Raises RoutingFailure otherwise."""
+    path = _exp_path(_route_lift(target))
+    verdict = continuable_exact(path)
+    if verdict.verdict != "continuable" or abs(verdict.lift_end - target) > 1e-7:
+        raise RoutingFailure(
+            f"routed path failed the oracle: {verdict.verdict}, "
+            f"lift end {verdict.lift_end} vs target {target}"
+        )
+    return path
 
 
 def reach_path(omega) -> PathPolyline:
@@ -173,21 +147,13 @@ def reach_path(omega) -> PathPolyline:
     omega = complex(omega)
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    zeta = choose_lift_target(omega)
-    path = _path_to_lift(zeta)
-    verdict = continuable_exact(path)
-    if verdict.verdict != "continuable" or abs(verdict.lift_end - zeta) > 1e-7:
-        raise RoutingFailure(
-            f"routed path failed the oracle: {verdict.verdict}, "
-            f"lift end {verdict.lift_end} vs target {zeta}"
-        )
-    return path
+    return _path_to_lift(choose_lift_target(omega))
 
 
-def _verdict_of(lift_end: complex, tol: float = GEOM_TOL) -> str:
-    if corner_at(lift_end, tol) is not None:
+def _verdict_of(lift_end: complex) -> str:
+    if corner_at(lift_end, GEOM_TOL) is not None:
         return "corner"
-    return "continuable" if in_interior(lift_end, tol) else "blocked"
+    return "continuable" if in_interior(lift_end) else "blocked"
 
 
 def classify(omega, M: int, N: int) -> ClassificationReport:
@@ -197,7 +163,8 @@ def classify(omega, M: int, N: int) -> ClassificationReport:
     The lift endpoint is built directly from (omega, M, N): circle targets
     land at M + i(arg0 + 2*pi*N) with arg0 in [-2*pi, 0), segment targets at
     ln(omega) + 2*pi*(N-1)i.  The verdict is the staircase status of that
-    point; a witness path is attached when it is interior.
+    point; a witness path, certified like reach_path's, is attached when it
+    is interior.
     """
     omega = complex(omega)
     if not slit_contains(omega, M):
@@ -253,9 +220,7 @@ class _LogLogRefresh:
 
     def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
         inner = lift + complex(0.0, self.inner_branch_im)
-        return compose_log(
-            log_germ(inner, hint.imag, self.order), center, inner.imag, self.order
-        )
+        return compose_log(log_germ(inner, hint.imag, self.order), center)
 
 
 def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
@@ -272,7 +237,7 @@ def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
 
     ell2 = log_germ(1.0, 0.0, order)
     branch_a = continue_along(
-        compose_log(ell2, cmath.e, 0.0, order),
+        compose_log(ell2, cmath.e),
         gamma,
         refresh=_LogLogRefresh(0.0, order),
     )
@@ -282,7 +247,7 @@ def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:
         raise RoutingFailure("outer log germ failed along [1, 1+2*pi*i]")
     ell2_shifted = prep.final
     branch_b = continue_along(
-        compose_log(ell2_shifted, cmath.e, TWO_PI, order),
+        compose_log(ell2_shifted, cmath.e),
         gamma,
         refresh=_LogLogRefresh(TWO_PI, order),
     )

@@ -226,19 +226,20 @@ def compose(outer: Germ, inner: Germ) -> Germ:
     return Germ(inner.center, tuple(acc), radius)
 
 
-def compose_log(outer: Germ, center, branch_im: float, order: int) -> Germ:
-    """compose(outer, log_germ(center, branch_im, order)), by one product
-    with a table when the log's value at center is outer.center exactly.
+def compose_log(outer: Germ, center) -> Germ:
+    """compose(outer, log_germ(center, Im outer.center, outer.order)), by one
+    product with a table when the log's value at center is outer.center
+    exactly, as it is for a lift made by paths.lift_point.
 
     With v = (z - center) / center the inner series is then
     outer.center + log(1 + v), so coefficient n of the composition is
     center^-n sum_k [v^n] log(1 + v)^k outer_k: substituting a log is a
     fixed linear map.  The radius is compose's, from the same coefficients.
     """
-    lam = log_germ(center, branch_im, order)
+    K = outer.order
+    lam = log_germ(center, outer.center.imag, K)
     if lam.coeffs[0] != outer.center:
         return compose(outer, lam)
-    K = min(outer.order, order)
     mag = np.abs(lam.coeffs[: K + 1])
     mag[0] = 0.0  # |c_0|, the gap to outer.center
     with np.errstate(over="ignore", invalid="ignore"):

@@ -117,13 +117,13 @@ class Truncation:
         vs.append(complex(self.n_max + 1, self.y_max))
         return vs
 
-    def contains(self, z: complex, tol: float = GEOM_TOL) -> bool:
+    def contains(self, z: complex) -> bool:
         """True iff z is interior to the truncated domain."""
-        if not in_interior(z, tol):
+        if not in_interior(z):
             return False
         return (
-            self.n_min + tol < z.real < self.n_max + 1 - tol
-            and z.imag < self.y_max - tol
+            self.n_min + GEOM_TOL < z.real < self.n_max + 1 - GEOM_TOL
+            and z.imag < self.y_max - GEOM_TOL
         )
 
     def boundary_distance(self, z: complex) -> float:
@@ -134,19 +134,19 @@ class Truncation:
         )
 
 
-def slit_contains(omega: complex, M: int, tol: float = GEOM_TOL) -> bool:
-    """True iff omega lies on the circle of radius e^M or on [e^(M-1), e^M]."""
+def slit_contains(omega: complex, M: int) -> bool:
+    """True iff omega lies within GEOM_TOL of the circle of radius e^M or of
+    the segment [e^(M-1), e^M]."""
     if omega == 0:
         return False
-    r = abs(omega)
-    if abs(r - math.exp(M)) < tol:
+    if abs(abs(omega) - math.exp(M)) < GEOM_TOL:
         return True
-    if abs(omega.imag) < tol:
-        return math.exp(M - 1) - tol <= omega.real <= math.exp(M) + tol
+    if abs(omega.imag) < GEOM_TOL:
+        return math.exp(M - 1) - GEOM_TOL <= omega.real <= math.exp(M) + GEOM_TOL
     return False
 
 
-def choose_lift_target(omega: complex, tol: float = GEOM_TOL) -> complex:
+def choose_lift_target(omega: complex) -> complex:
     """The logarithm of omega on the branch of minimal index that lands
     in the staircase interior.
 
@@ -160,9 +160,9 @@ def choose_lift_target(omega: complex, tol: float = GEOM_TOL) -> complex:
     a = cmath.phase(omega)
     if a <= -math.pi + 1e-15:  # phase returns (-pi, pi]; normalize the seam
         a = math.pi
-    k = math.floor((TWO_PI * column(x, tol) + tol - a) / TWO_PI) + 1
+    k = math.floor((TWO_PI * column(x) + GEOM_TOL - a) / TWO_PI) + 1
     zeta = complex(x, a + TWO_PI * k)
-    while not in_interior(zeta, tol):
+    while not in_interior(zeta):
         k += 1
         zeta = complex(x, a + TWO_PI * k)
     return zeta
