@@ -5,8 +5,12 @@ index against the exact lift oracle, and run the two-branch log-log example.
 Path construction works in the lift plane: a polyline is routed from the base
 lift point through the staircase interior (ascending over each glue threshold
 before crossing it), and the actual path in C* is its exponential, whose
-chords lift to within 1.25e-3 of the route (see _exp_path).  Every route is
-certified once, by the exact oracle on the path the engine walks.
+chords lift to within 1.25e-3 of the route (see _exp_path).  The routes form
+one tree: every route into a column shares the trunk and that column's
+corridor up or down its middle, and each leg is cut into chords on a grid
+anchored at the leg's start, so routes share their vertices up to their last
+legs and the continuation engine meets the same germs along them.  Every
+route is certified once, by the exact oracle on the path the engine walks.
 """
 
 from __future__ import annotations
@@ -74,48 +78,68 @@ class ExpExpReport:
 def _route_lift(target: complex):
     """Waypoints from the base lift point to `target` inside the staircase.
 
-    The route ascends above each glue threshold (plus ROUTE_CLEARANCE)
-    before crossing to the next column midline; a target left of the base
-    column needs no crossing.  The last two legs approach the target
-    directly and are only required to stay interior -- the target may
-    legitimately sit closer to the boundary than the trunk clearance.  Each
-    waypoint is appended under a strict inequality, so no two consecutive
-    waypoints are equal.
+    Routes form one tree.  The trunk ascends ROUTE_CLEARANCE above each glue
+    threshold before crossing to the next column's middle; a target left of
+    the base column needs no crossing.  A target off the glue lines then
+    moves level to its column's middle x_m = ct + 1/2 (at the base height in
+    and left of the base column) and runs up or down that corridor.
+    When the floor is its nearest wall and closer than 1/2, the corridor
+    leg stops 1/2 above the floor, and the route runs level to the target's
+    real part and descends onto it; otherwise the corridor leg stops at the
+    target's height and one level leg, heading straight at the riser or away
+    from it, ends the route.  A glue-line target rises to its height on the
+    glue line and is reached by the same last two legs.  The legs after the
+    trunk need only stay interior: the target may sit closer to the boundary
+    than the trunk clearance.  A waypoint equal to the last one is not
+    appended, so no two consecutive waypoints are equal.
     """
+    if target == BASE_LIFT:
+        return [BASE_LIFT]
     xt, yt = target.real, target.imag
     ct = column(xt)
     on_glue = abs(xt - ct) <= GEOM_TOL  # column() snapped xt onto glue line ct
     pts = [BASE_LIFT]
-    x_cur, y_cur = BASE_LIFT.real, BASE_LIFT.imag
-    for c in range(column(x_cur) + 1, ct + 1):
-        y_need = TWO_PI * c + ROUTE_CLEARANCE
-        if y_cur < y_need:
-            pts.append(complex(x_cur, y_need))
-            y_cur = y_need
+
+    def leg_to(x: float, y: float) -> None:
+        if complex(x, y) != pts[-1]:
+            pts.append(complex(x, y))
+
+    for c in range(column(BASE_LIFT.real) + 1, ct + 1):
+        leg_to(pts[-1].real, max(pts[-1].imag, TWO_PI * c + ROUTE_CLEARANCE))
         # land exactly on the glue line when it is the destination
-        x_cur = float(c) if (c == ct and on_glue) else c + 0.5
-        pts.append(complex(x_cur, y_cur))
-    if yt > y_cur:
-        pts.append(complex(x_cur, yt))
-        y_cur = yt
-    if x_cur != xt:
-        pts.append(complex(xt, y_cur))
-    if y_cur != yt:
-        pts.append(complex(xt, yt))
+        leg_to(float(c) if (c == ct and on_glue) else c + 0.5, pts[-1].imag)
+    if on_glue:
+        y_leg = max(pts[-1].imag, yt)
+    else:
+        leg_to(ct + 0.5, pts[-1].imag)
+        floor = TWO_PI * ct
+        near_floor = yt - floor < min(ct + 1 - xt, 0.5)
+        y_leg = floor + 0.5 if near_floor else yt
+    leg_to(pts[-1].real, y_leg)
+    leg_to(xt, y_leg)
+    leg_to(xt, yt)
     return pts
 
 
 def _exp_path(pts) -> PathPolyline:
-    """Exponential of a lift polyline, subdivided to at most EXP_STEP of lift
-    arc per chord.  A horizontal leg maps to a ray, whose chords lift
-    exactly onto the leg.  On a vertical leg a chord spanning EXP_STEP lifts
-    at most -ln cos(EXP_STEP/2) ~ 1.25e-3 left of the leg, far inside
+    """Exponential of a lift polyline.  Each leg is cut at every multiple of
+    EXP_STEP of lift from its start, the last chord taking the remainder, so
+    routes whose legs leave the same waypoint in the same direction share
+    their chord vertices bit for bit, however far each leg runs, and the
+    engine refreshes at the same (center, lift) pairs along them.  A
+    horizontal leg maps to a ray, whose chords lift exactly onto the leg.
+    On a vertical leg a chord spanning at most EXP_STEP lifts at most
+    -ln cos(EXP_STEP/2) ~ 1.25e-3 left of the leg, far inside
     ROUTE_CLEARANCE."""
     out = []
     for a, b in zip(pts, pts[1:]):
-        n_sub = max(1, math.ceil(abs(b - a) / EXP_STEP))
-        for j in range(n_sub):
-            out.append(cmath.exp(a + (b - a) * (j / n_sub)))
+        length = abs(b - a)
+        unit = (b - a) / length
+        out.append(cmath.exp(a))
+        k = 1
+        while k * EXP_STEP < length:
+            out.append(cmath.exp(a + unit * (k * EXP_STEP)))
+            k += 1
     out.append(cmath.exp(pts[-1]))
     dedup = [out[0]]
     for p in out[1:]:

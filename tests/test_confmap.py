@@ -27,11 +27,12 @@ from logstair import (
     reach_path,
     validate_path,
 )
-from logstair import confmap
+from logstair import choose_lift_target, confmap, monodromy
 from logstair.confmap import _flip, _interior_grid
 
 TWO_PI = 2.0 * math.pi
 BASE = complex(math.log(0.5), 0.0)
+ROADMAP12 = (3j, 0.2, 0.2j, 4, 0.1 - 0.1j, 2j, -2 + 0.1j, 2.5, -1j, 1.5 + 1.5j, -0.5, 1 + 0.01j)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +271,7 @@ class TestRefreshPath:
 
     # 1+0.01j ends 5e-5 right of the corner of column 0, where the map is
     # hardest to resolve and its last models take the narrow ring
-    @pytest.mark.parametrize("target, steps", [(-0.5, 16), (-1j, 31), (1 + 0.01j, 61)])
+    @pytest.mark.parametrize("target, steps", [(-0.5, 21), (-1j, 31), (1 + 0.01j, 52)])
     def test_routed_chain(self, cmap, fgerm, target, steps):
         path = reach_path(target)
         chain = continue_along(fgerm, path, refresh=FRefresh(cmap))
@@ -279,6 +280,18 @@ class TestRefreshPath:
         expected = eval_h(psi_eval(cmap, lift_log(path).end))
         assert abs(chain.final.coeffs[0] - expected) < 1e-6
 
+    def test_completed_chains_end_on_the_map_value(self, cmap, fgerm):
+        # the twelve crosscheck targets tracked since the first measurements:
+        # a completed chain must end on h(psi(lift end)), not only complete
+        # (worst measured: 3.1e-7, at -0.5)
+        completed = 0
+        for omega in ROADMAP12:
+            report = crosscheck(reach_path(omega), fgerm, refresh=FRefresh(cmap))
+            if report.chain.completed:
+                completed += 1
+                want = eval_h(psi_eval(cmap, report.oracle.lift_end))
+                assert abs(report.chain.final.coeffs[0] - want) < 1e-6
+        assert completed >= 7
 
     def test_overflowing_chain_warns_nothing(self, cmap, fgerm):
         # the route to 0.2 ends in a composition that overflows the double
@@ -371,6 +384,27 @@ class TestGermMemo:
         on_trunk = sum(t < trunk_t for t in chains[3j].breakpoints[1:])
         assert on_trunk > 10
         assert keys[4][:on_trunk] == keys[3j][:on_trunk]
+
+    def test_a_column_corridor_serves_all_but_the_last_leg(self, trunc, local_model_calls):
+        # routes into a column climb or descend its middle, cut into chords
+        # on one grid, so after one target in each of columns -2, -1 and 0 a
+        # second target in the same column assembles fresh germs only on its
+        # last leg and at the step that leaves the corridor
+        cmap = build_map(trunc, 256)
+        fgerm = f_germ_at_base(cmap)
+        for lift in (complex(-1.7, -11.0), complex(-0.8, -5.5), complex(0.3, 5.5)):
+            continue_along(fgerm, reach_path(cmath.exp(lift)), refresh=FRefresh(cmap))
+        for lift in (complex(-1.3, -8.5), complex(-0.2, -2.5), complex(0.8, 3.0)):
+            omega = cmath.exp(lift)
+            path = reach_path(omega)
+            local_model_calls.clear()
+            chain = continue_along(fgerm, path, refresh=FRefresh(cmap))
+            last_leg_start = monodromy._route_lift(choose_lift_target(omega))[-2]
+            k = next(k for k, z in enumerate(path._lift) if abs(z - last_leg_start) < 1e-12)
+            t_last = path._cumlen[k] / path.total_length
+            last_leg_steps = sum(t > t_last for t in chain.breakpoints[1:])
+            assert len(local_model_calls) <= last_leg_steps + 1
+            assert len(chain.elements) - 1 > 4 * (last_leg_steps + 1)
 
     def test_memo_is_bounded(self, trunc, monkeypatch):
         monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)

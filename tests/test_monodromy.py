@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import logstair.monodromy as monodromy
@@ -135,41 +135,34 @@ class TestReachPath:
 
 
 def _route_lift_reference(target: complex):
-    """Reference: _route_lift as it was with a separate leftward branch and a
-    trailing pass dropping consecutive duplicates."""
-    x0, y0 = BASE_LIFT.real, BASE_LIFT.imag
+    """Reference: the route tree written leg by leg, every candidate waypoint
+    appended and consecutive duplicates dropped at the end."""
+    if target == BASE_LIFT:
+        return [BASE_LIFT]
+    x, y = BASE_LIFT.real, BASE_LIFT.imag
     xt, yt = target.real, target.imag
-    c0 = column(x0)
     ct = column(xt)
     on_glue = abs(xt - ct) <= GEOM_TOL
-    pts = [complex(x0, y0)]
-    x_cur, y_cur = x0, y0
-
-    if ct >= c0:
-        for c in range(c0 + 1, ct + 1):
-            y_need = TWO_PI * c + monodromy.ROUTE_CLEARANCE
-            if y_cur < y_need:
-                pts.append(complex(x_cur, y_need))
-                y_cur = y_need
-            x_next = float(c) if (c == ct and on_glue) else c + 0.5
-            pts.append(complex(x_next, y_cur))
-            x_cur = x_next
-        y_f = max(y_cur, yt)
-        if y_f > y_cur:
-            pts.append(complex(x_cur, y_f))
-            y_cur = y_f
-        if x_cur != xt:
-            pts.append(complex(xt, y_cur))
-            x_cur = xt
+    pts = [BASE_LIFT]
+    # the trunk: climb above each glue threshold, then cross it
+    for c in range(column(x) + 1, ct + 1):
+        y = max(y, TWO_PI * c + monodromy.ROUTE_CLEARANCE)
+        pts.append(complex(x, y))
+        x = float(c) if (c == ct and on_glue) else c + 0.5
+        pts.append(complex(x, y))
+    if on_glue:
+        # rise on the glue line to the target's height when it is higher
+        y_leg = max(y, yt)
     else:
-        y_f = max(y0, yt)
-        if y_f > y_cur:
-            pts.append(complex(x_cur, y_f))
-            y_cur = y_f
-        pts.append(complex(xt, y_cur))
-        x_cur = xt
-    if y_cur != yt:
-        pts.append(complex(xt, yt))
+        # level to the column's middle (at the base height in and left of
+        # the base column), then along it to the target's height, or to 1/2 above
+        # the floor when the floor is the nearest wall and closer than 1/2
+        x = ct + 0.5
+        pts.append(complex(x, y))
+        floor_gap, riser_gap = yt - TWO_PI * ct, ct + 1 - xt
+        near_floor = floor_gap < 0.5 and floor_gap < riser_gap
+        y_leg = TWO_PI * ct + 0.5 if near_floor else yt
+    pts += [complex(x, y_leg), complex(xt, y_leg), complex(xt, yt)]
 
     out = [pts[0]]
     for p in pts[1:]:
@@ -188,6 +181,8 @@ route_targets = st.one_of(
     st.builds(_above_floor, st.floats(-6.0, -1.0 - 2 * GEOM_TOL), heights),
     # rightward
     st.builds(_above_floor, st.floats(0.0, 6.0), heights),
+    # near a floor, where the corridor leg stops 1/2 above it
+    st.builds(_above_floor, st.floats(-6.0, 6.0), st.floats(1e-6, 1.0)),
     # on a glue line, within GEOM_TOL of an integer
     st.builds(
         lambda m, u, h: _above_floor(m + u * GEOM_TOL, h),
@@ -203,6 +198,7 @@ route_targets = st.one_of(
 
 class TestRouteLift:
     @given(route_targets)
+    @example(complex(0.75, 0.25))  # floor and riser equally near: no stop above the floor
     @settings(max_examples=1000, deadline=None)
     def test_matches_reference(self, target):
         pts = monodromy._route_lift(target)
@@ -229,6 +225,59 @@ class TestRouteLift:
                             assert boundary_distance(z) >= clearance
                             checked += 1
         assert checked > 10_000
+
+
+def _chord_grid(pts):
+    """Lift-plane vertices of _exp_path(pts), leg by leg: the leg's start and
+    every multiple of EXP_STEP along it, then the route's end.  A leg too
+    short to move its exponential (a glue-line target a few ulps off the
+    line) adds no vertex."""
+    grid = []
+    for a, b in zip(pts, pts[1:]):
+        unit = (b - a) / abs(b - a)
+        k = 0
+        while k * monodromy.EXP_STEP < abs(b - a):
+            grid.append(a + unit * (k * monodromy.EXP_STEP))
+            k += 1
+    out = [pts[0]]
+    for z in grid[1:] + [pts[-1]]:
+        if cmath.exp(z) != cmath.exp(out[-1]):
+            out.append(z)
+    return out
+
+
+class TestExpPath:
+    @given(route_targets)
+    @settings(max_examples=300, deadline=None)
+    def test_chords_run_on_each_legs_grid(self, target):
+        pts = monodromy._route_lift(target)
+        path = monodromy._exp_path(pts)
+        assert all(p != q for p, q in zip(path.points, path.points[1:]))
+        lifted = path._lift
+        assert len(lifted) == len(_chord_grid(pts))
+        for z, want in zip(lifted, _chord_grid(pts)):
+            assert abs(z - want) < 1e-9
+        for p, q in zip(lifted, lifted[1:]):
+            assert abs(q - p) <= monodromy.EXP_STEP * (1 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "near, far",
+        [
+            (complex(0.8, 3.0), complex(0.3, 5.5)),  # up the middle of column 0
+            (complex(-0.2, -2.53), complex(-0.8, -5.5)),  # down column -1's
+            (complex(-1.3, -8.47), complex(-1.7, -11.0)),  # down column -2's
+            (complex(1.73, TWO_PI + 0.2), complex(1.91, TWO_PI + 0.05)),  # level above a floor
+        ],
+    )
+    def test_routes_share_a_common_legs_vertices(self, near, far):
+        # the route to `near` leaves its last shared waypoint along the
+        # route to `far`; both paths are equal vertex for vertex up to the
+        # end of that leg on `near`'s route
+        p_near = monodromy._exp_path(monodromy._route_lift(near))
+        p_far = monodromy._exp_path(monodromy._route_lift(far))
+        n = next(k for k, (a, b) in enumerate(zip(p_near.points, p_far.points)) if a != b)
+        assert abs(p_near._lift[n] - monodromy._route_lift(near)[-2]) < 1e-12
+        assert n > 20
 
 
 class TestCertificate:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 import warnings
 from fractions import Fraction
 from math import lgamma
@@ -314,6 +315,79 @@ def test_composed_radius_matches_polyval_bisection(mag, outer_radius, inner_radi
 
 # ---------------------------------------------------------------------------
 # kernels against the code they replaced
+
+
+def _horner(mag, r):
+    acc = 0.0
+    for m in mag[::-1]:
+        acc = acc * r + m
+    return acc
+
+
+def _composed_radius_bisection(mag, outer_radius, inner_radius):
+    """Reference: _composed_radius as it was, bisecting to adjacent doubles
+    with about 55 Horner probes (at most 80)."""
+    coeffs_desc = np.asarray(mag, dtype=float)[::-1].tolist()
+
+    def reach(rr: float) -> float:
+        acc = 0.0
+        for m in coeffs_desc:
+            acc = acc * rr + m
+        return acc
+
+    hi = inner_radius
+    if not math.isfinite(hi):
+        hi = 1.0
+        while reach(hi) <= outer_radius and hi < 1e12:
+            hi *= 2.0
+    if reach(hi) <= outer_radius:
+        return hi
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent doubles: no later step moves them
+        if reach(mid) <= outer_radius:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _search_top(mag, outer_radius, inner_radius):
+    """The upper end of the reference's bisection."""
+    if math.isfinite(inner_radius):
+        return inner_radius
+    hi = 1.0
+    while _horner(mag, hi) <= outer_radius and hi < 1e12:
+        hi *= 2.0
+    return hi
+
+
+@given(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e12)), max_size=64),
+    st.floats(1e-9, 1e3),
+    st.one_of(st.floats(1e-6, 1e3), st.just(math.inf)),
+)
+@example(0.0, [1.0, 1.0], 3.0, math.inf)  # infinite radius, doubled to 2 then bisected
+@example(0.0, [1e-20], 1.0, math.inf)  # infinite radius, doubling passes at 2^40
+@example(0.1, [0.1], 1.0, 0.5)  # inner_radius passes
+@example(2.0, [1.0], 1.0, 1.0)  # no positive radius passes
+@example(0.5, [1e12] * 64, 1.0, 1.0)  # below 2^-24 of inner_radius
+@settings(max_examples=500, deadline=None)
+def test_composed_radius_matches_the_bisection(gap, tail, outer_radius, inner_radius):
+    # |c_0| is the gap to the outer center, below the outer radius
+    mag = [gap * outer_radius] + tail
+    got = _composed_radius(mag, outer_radius, inner_radius)
+    want = _composed_radius_bisection(mag, outer_radius, inner_radius)
+    assert struct.pack("d", got) == struct.pack("d", want)
+    # where 80 halvings reach adjacent doubles the answer is the largest
+    # passing double below the search's top (0.0 passes by convention)
+    hi = _search_top(mag, outer_radius, inner_radius)
+    if got >= hi * 2.0**-24:
+        assert got == 0.0 or _horner(mag, got) <= outer_radius
+        assert got == hi or _horner(mag, math.nextafter(got, math.inf)) > outer_radius
 
 
 def _compose_convolve(outer, inner):
