@@ -141,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wind", help="winding number of a path (prints W=<k>)")
     common(p, path=True)
-    p.add_argument("--branch-im", type=float, default=0.0)
 
     p = sub.add_parser("lift", help="log lift of a path; CSV of lift points")
     common(p, out=True, path=True)
@@ -180,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_wind(args) -> int:
     path = _read_path(args.path)
-    sys.stdout.write(f"W={winding_number(path, args.branch_im)}\n")
+    sys.stdout.write(f"W={winding_number(path)}\n")
     return 0
 
 

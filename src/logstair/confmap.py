@@ -37,11 +37,11 @@ _SCALE = 1.0 - 1e-7
 MIN_RESOLUTION = 64
 
 # Assembled h(psi(log z)) germs a map keeps, least recently used dropped
-# first. Routes from the base point climb the same corridor, so chains to
-# different targets refresh at the same (center, lift) pairs: over 20 sweep
-# targets 57-59% of the refreshes repeat an earlier pair. At the
-# default order a full memo raises peak memory by about 1.0 MB; 512 entries
-# raised it by 1.3 MB with no gain in throughput.
+# first. Routes from the base point form one tree, so chains to different
+# targets refresh at the same (center, lift) pairs: over 20 sweep targets
+# 83-84% of the refreshes repeat an earlier pair, and 96-97% over the next
+# 20 on the same map. A full memo holds about 1.1 MB (384 germs of order 64,
+# about 3 kB each, by tracemalloc); 512 entries gave no more throughput.
 MEMO_CAPACITY = 384
 
 # Ring radii of the local model, as fractions of the distance to the
@@ -103,10 +103,8 @@ class ConformalMap:
                 f"truncation {truncation} does not contain the base lift point {base}"
             )
         self.truncation = truncation
-        self.resolution = resolution
         self.base = base
-        self.boundary_vertices = tuple(truncation.vertices())
-        nodes = _grade_nodes(self.boundary_vertices, resolution)
+        nodes = _grade_nodes(truncation.vertices(), resolution)
         self.nodes = nodes
         self.v0, self.v1 = nodes[0], nodes[1]
 
@@ -263,26 +261,25 @@ class ConformalMap:
             f"(distance to the boundary {d:.3e})"
         )
 
-    def _f_germ(self, center: complex, lift: complex, order: int) -> Germ:
+    def _f_germ(self, center: complex, lift: complex) -> Germ:
         """Germ at center of h(psi(log z)) on the log branch whose value at
         center is lift: h-germ composed with (local map model at lift
-        composed with the log germ).
+        composed with the log germ), at DEFAULT_ORDER.
 
         The germ is a pure function of its arguments, so the map keeps the
         last MEMO_CAPACITY results, keyed by the arguments' bits (0.0 and
-        -0.0 compare equal but can reach different branches downstream). An
-        entry is the coefficient array and radius_est; a hit builds a new
-        Germ equal to the one first returned. A failed assembly raises and
-        stores nothing.
+        -0.0 compare equal but can reach different branches downstream). A
+        hit returns the Germ first assembled, which is immutable. A failed
+        assembly raises and stores nothing.
         """
-        key = struct.pack("4dq", center.real, center.imag, lift.real, lift.imag, order)
-        entry = self._germs.pop(key, None)
-        if entry is not None:
-            self._germs[key] = entry
-            return Germ(center, entry[0].tolist(), entry[1])
-        mid = compose_log(self.local_model(lift, order), center)
-        germ = compose(h_germ(mid.coeffs[0], order), mid)
-        self._germs[key] = (np.array(germ.coeffs), germ.radius_est)
+        key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
+        germ = self._germs.get(key)
+        if germ is not None:
+            self._germs.move_to_end(key)
+            return germ
+        mid = compose_log(self.local_model(lift), center)
+        germ = compose(h_germ(mid.coeffs[0]), mid)
+        self._germs[key] = germ
         if len(self._germs) > MEMO_CAPACITY:
             self._germs.popitem(last=False)
         return germ
@@ -312,15 +309,13 @@ def psi_eval(cmap: ConformalMap, z) -> complex:
     return cmap.eval(z)
 
 
-def f_germ_at_base(cmap: ConformalMap, order: int = DEFAULT_ORDER) -> Germ:
+def f_germ_at_base(cmap: ConformalMap) -> Germ:
     """Germ at z = 0.5 of h(psi(log z)), log taken with branch value ln 0.5.
 
     The anchored normalization makes the inner value at 0.5 equal zero to
     machine precision, so the constant term is h(0) ~ 0.
     """
-    if order < 8:
-        raise ValueError(f"order must be >= 8, got {order}")
-    return cmap._f_germ(BASE_POINT, cmap.base, order)
+    return cmap._f_germ(BASE_POINT, cmap.base)
 
 
 class FRefresh:
@@ -330,12 +325,11 @@ class FRefresh:
     number of runs; repeated (center, lift) pairs are served from the map's
     memo, across all hooks on that map."""
 
-    def __init__(self, cmap: ConformalMap, order: int = DEFAULT_ORDER):
+    def __init__(self, cmap: ConformalMap):
         self.cmap = cmap
-        self.order = order
 
     def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
-        return self.cmap._f_germ(center, lift, self.order)
+        return self.cmap._f_germ(center, lift)
 
 
 def _interior_grid(truncation: Truncation):

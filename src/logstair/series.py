@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -287,23 +286,11 @@ def _log_power_table(K: int):
 
 
 def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:
-    """Largest r <= inner_radius with sum mag[k] r^k <= outer_radius.
-
-    The polynomial is evaluated by a plain-float Horner loop: at order 64 a
-    numpy call per evaluation costs far more than the sum.  With
-    non-negative coefficients every step of that loop is monotone in r, so
-    below inner_radius (or the doubling bound when it is infinite) the
-    answer is the largest double whose sum passes, 0.0 when no positive
-    double does.  Newton's method on ln p(e^s) - ln outer_radius, which is
-    convex and increasing in s, approaches it from above in a few steps,
-    and a galloping search over the doubles next to Newton's last iterate
-    settles its bits: about a dozen Horner passes in all, against about 55
-    for bisection.
-
-    The answer is that of 80 halvings of [0, hi], which reach adjacent
-    doubles unless the answer lies below hi * 2^-24; there, far below any
-    radius a route meets, those halvings are run as they are and their
-    lower end is returned."""
+    """Largest r <= inner_radius with sum mag[k] r^k <= outer_radius, by at
+    most 80 halvings of [0, inner_radius] that stop at adjacent doubles (an
+    infinite inner_radius is first replaced by a doubling bound).  The
+    polynomial is evaluated by a plain-float Horner loop: at order 64 a
+    numpy call per evaluation costs far more than the sum."""
     coeffs_desc = np.asarray(mag, dtype=float)[::-1].tolist()
 
     def reach(rr: float) -> float:
@@ -319,68 +306,16 @@ def _composed_radius(mag, outer_radius: float, inner_radius: float) -> float:
             hi *= 2.0
     if reach(hi) <= outer_radius:
         return hi
-
-    r = hi
-    for _ in range(40):
-        p = dp = 0.0
-        for m in coeffs_desc:
-            dp = dp * r + p
-            p = p * r + m
-        if not p > outer_radius:
-            break
-        # a Newton step in s = ln r; an infinite or NaN step ends the loop
-        denom = r * dp
-        ds = math.log(p / outer_radius) * p / denom if denom > 0.0 else math.inf
-        r_next = r * math.exp(-ds)
-        if not 0.0 < r_next < r:
-            break
-        r = r_next
-        if ds < 1e-14:
-            break
-
-    # bits of positive doubles order like the doubles; 0.0 passes unprobed
-    lo, up = 0, _bits(hi)
-    b = _bits(r)
-    if b < up and reach(r) <= outer_radius:
-        lo, step = b, 1
-        while lo + step < up:
-            if reach(_double(lo + step)) > outer_radius:
-                up = lo + step
-                break
-            lo += step
-            step *= 2
-    else:
-        up, step = b, 1
-        while up - step > lo:
-            if reach(_double(up - step)) <= outer_radius:
-                lo = up - step
-                break
-            up -= step
-            step *= 2
-    while up - lo > 1:
-        mid = (lo + up) // 2
-        if reach(_double(mid)) <= outer_radius:
+    lo = 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent doubles: no later step moves them
+        if reach(mid) <= outer_radius:
             lo = mid
         else:
-            up = mid
-    if _double(lo) >= hi * 2.0**-24:
-        return _double(lo)
-    low = 0.0
-    for _ in range(80):
-        mid = 0.5 * (low + hi)
-        if reach(mid) <= outer_radius:
-            low = mid
-        else:
             hi = mid
-    return low
-
-
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    return lo
 
 
 def estimate_radius(coeffs) -> float:

@@ -49,10 +49,12 @@ class TestWind:
         assert code == 0
         assert out == "W=1\n"
 
-    def test_branch_invariance(self, capsys, loop_file):
+    def test_branch_flag_is_rejected(self, capsys, loop_file):
+        # the winding number does not depend on the starting branch, so wind
+        # takes no --branch-im; lift does, because there it moves the lift
         code, out, _ = run(capsys, "wind", "--path", loop_file, "--branch-im", str(TWO_PI))
-        assert code == 0
-        assert out == "W=1\n"
+        assert code == 2
+        assert out == ""
 
 
 class TestLift:

@@ -406,6 +406,15 @@ class TestGermMemo:
             assert len(local_model_calls) <= last_leg_steps + 1
             assert len(chain.elements) - 1 > 4 * (last_leg_steps + 1)
 
+    def test_a_hit_returns_the_germ_first_assembled(self, trunc):
+        # a Germ is immutable, so the memo hands out the object itself
+        cmap = build_map(trunc, 256)
+        assert f_germ_at_base(cmap) is f_germ_at_base(cmap)
+        path = reach_path(2j)
+        center, lift = path.points[3], path._lift[3]
+        first = FRefresh(cmap)(center, lift, 0j)
+        assert FRefresh(cmap)(center, lift, 0j) is first
+
     def test_memo_is_bounded(self, trunc, monkeypatch):
         monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)
         cmap = build_map(trunc, 256)
