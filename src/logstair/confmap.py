@@ -29,7 +29,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadTruncation, DegenerateBoundary, ModelUnresolved, OutsideDomain
+from .errors import (
+    BadTruncation,
+    DegenerateBoundary,
+    LogstairError,
+    ModelUnresolved,
+    OutsideDomain,
+)
 from .series import DEFAULT_ORDER, Germ, compose, compose_log, h_germ
 from .staircase import BASE_LIFT, BASE_POINT, TWO_PI, Truncation
 
@@ -270,19 +276,27 @@ class ConformalMap:
         last MEMO_CAPACITY results, keyed by the arguments' bits (0.0 and
         -0.0 compare equal but can reach different branches downstream). A
         hit returns the Germ first assembled, which is immutable. A failed
-        assembly raises and stores nothing.
+        assembly is stored as its error's type and args, not the exception,
+        whose traceback would keep the frames alive, and a hit raises a fresh
+        error with the same message.
         """
         key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
-        germ = self._germs.get(key)
-        if germ is not None:
+        entry = self._germs.get(key)
+        if entry is not None:
             self._germs.move_to_end(key)
-            return germ
-        mid = compose_log(self.local_model(lift), center)
-        germ = compose(h_germ(mid.coeffs[0]), mid)
-        self._germs[key] = germ
-        if len(self._germs) > MEMO_CAPACITY:
-            self._germs.popitem(last=False)
-        return germ
+        else:
+            try:
+                mid = compose_log(self.local_model(lift), center)
+                entry = compose(h_germ(mid.coeffs[0]), mid)
+            except LogstairError as exc:
+                entry = (type(exc), exc.args)
+            self._germs[key] = entry
+            if len(self._germs) > MEMO_CAPACITY:
+                self._germs.popitem(last=False)
+        if isinstance(entry, Germ):
+            return entry
+        error, args = entry
+        raise error(*args)
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,8 @@ being validated.
 from __future__ import annotations
 
 import math
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -165,73 +167,56 @@ def continue_along(
         i, u, t = j, v, t_next
 
 
-# The last verdict of continuable_exact with its (path, geom_tol): reach_path
-# certifies a route with the oracle and crosscheck then asks about the same
-# path again.
-_last_verdict = (None, None)
+# Exit fractions of the oracle's segments, least recently used dropped first.
+# Routes from the base point form one tree, so paths share segments chord for
+# chord, and crosscheck asks again about the route reach_path has just
+# certified. With 512, 1,024 and 2,048 entries, 200 sweep operations sample
+# 1,230, 1,221 and 1,221 segments afresh, and 600 oracle-paths operations
+# 5,035, 3,360 and 2,376 (bench/ workloads, seed 701).
+SEGMENT_MEMO_CAPACITY = 1024
+_segment_exits = OrderedDict()  # see continuable_exact
 
 
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:
     """Exact continuability oracle: the germ continues along `path` precisely
     when the logarithm lift (start branch 0) stays interior to the staircase.
 
-    The lift is sampled at ~0.005 increments of lift arc length; the first
-    non-interior sample is sharpened by bisection.  Exits are reported as
+    Each segment's lift is sampled by _segment_exit.  Exits are reported as
     "corner" only when the offending point sits at a staircase corner AND the
     path terminates there (a lift merely passing through a corner is an
     ordinary blocked exit).  The verdict is a pure function of the path's
-    points and geom_tol, and a call that repeats the previous one returns
-    its verdict again.
+    points and geom_tol.  A segment's exit fraction depends on its ends, the
+    lift's angle at its start and geom_tol alone, so the last
+    SEGMENT_MEMO_CAPACITY of them are kept, keyed by those six doubles' bits;
+    the path parameter and the exit point are recomputed from it each call.
     """
-    global _last_verdict
-    key, verdict = _last_verdict
-    if key == (path, geom_tol):
-        return verdict
-    verdict = _sample_lift(path, geom_tol)
-    _last_verdict = ((path, geom_tol), verdict)
-    return verdict
-
-
-def _sample_lift(path: PathPolyline, geom_tol: float) -> OracleVerdict:
-    """The oracle of continuable_exact, run afresh."""
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
     lifted = path._lift
     lift_end = lifted[-1]
     pts = path.points
     cum = path._cumlen
-    total = path.total_length
 
     if not in_interior(lifted[0], geom_tol):  # unreachable for base 0.5
         return OracleVerdict("blocked", 0.0, lift_end)
 
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        d = b - a
-        seg = abs(d)
+        seg = abs(b - a)
         if seg == 0.0:
             continue
         theta_a = lifted[i].imag
-        arc_bound = seg / _seg_dist(0j, a, b)
-        n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
-        s_prev = 0.0
-        for j in range(1, n_sub + 1):
-            s_bad = j / n_sub
-            if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
-                s_prev = s_bad
-                continue
-            lo, hi = s_prev, s_bad
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
-                    lo = mid
-                else:
-                    hi = mid
-            # nudge just past the flip so the reported parameter stays
-            # non-interior under recomputation
-            s_exit = hi + (s_bad - hi) * 1e-6
-            exit_zeta = lift_point(a, theta_a, a + s_exit * d)
-            t_exit = (cum[i] + s_exit * seg) / total
+        key = struct.pack("6d", a.real, a.imag, b.real, b.imag, theta_a, geom_tol)
+        if key in _segment_exits:
+            _segment_exits.move_to_end(key)
+            s_exit = _segment_exits[key]
+        else:
+            s_exit = _segment_exits[key] = _segment_exit(a, b, theta_a, geom_tol)
+            if len(_segment_exits) > SEGMENT_MEMO_CAPACITY:
+                _segment_exits.popitem(last=False)
+        if s_exit is not None:
+            exit_zeta = lift_point(a, theta_a, a + s_exit * (b - a))
+            t_exit = (cum[i] + s_exit * seg) / path.total_length
             corner = corner_at(exit_zeta, 2.0 * geom_tol)
             terminal = (
                 corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
@@ -239,6 +224,34 @@ def _sample_lift(path: PathPolyline, geom_tol: float) -> OracleVerdict:
             return OracleVerdict("corner" if terminal else "blocked", t_exit, lift_end)
 
     return OracleVerdict("continuable", None, lift_end)
+
+
+def _segment_exit(a: complex, b: complex, theta_a: float, geom_tol: float):
+    """The fraction of the segment from a to b at which its log lift, of
+    angle theta_a at a, first leaves the staircase interior, or None if it
+    stays inside.
+
+    The lift is sampled at ~0.005 increments of lift arc length; the first
+    non-interior sample is sharpened by bisection and the fraction nudged just
+    past the flip, so it stays non-interior under recomputation."""
+    d = b - a
+    arc_bound = abs(d) / _seg_dist(0j, a, b)
+    n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
+    s_prev = 0.0
+    for j in range(1, n_sub + 1):
+        s_bad = j / n_sub
+        if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
+            s_prev = s_bad
+            continue
+        lo, hi = s_prev, s_bad
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
+                lo = mid
+            else:
+                hi = mid
+        return hi + (s_bad - hi) * 1e-6
+    return None
 
 
 def overlap_disagreement(chain: ContinuationChain, points_per_junction: int = 8) -> float:

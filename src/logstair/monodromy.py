@@ -10,7 +10,8 @@ one tree: every route into a column shares the trunk and that column's
 corridor up or down its middle, and each leg is cut into chords on a grid
 anchored at the leg's start, so routes share their vertices up to their last
 legs and the continuation engine meets the same germs along them.  Every
-route is certified once, by the exact oracle on the path the engine walks.
+route is certified by the exact oracle on the path the engine walks, which
+samples only the segments it has not kept from earlier paths.
 """
 
 from __future__ import annotations

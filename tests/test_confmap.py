@@ -406,6 +406,24 @@ class TestGermMemo:
             assert len(local_model_calls) <= last_leg_steps + 1
             assert len(chain.elements) - 1 > 4 * (last_leg_steps + 1)
 
+    def test_a_failed_refresh_on_a_corridor_is_assembled_once(self, trunc, local_model_calls):
+        # routes deep into column -2 fail at the same refresh on its
+        # corridor; once stored, the failure costs a later chain no local
+        # model and ends it as a cold map would
+        cmap = build_map(trunc, 256)
+        fgerm = f_germ_at_base(cmap)
+        first = continue_along(
+            fgerm, reach_path(cmath.exp(complex(-1.7, -11.0))), refresh=FRefresh(cmap)
+        )
+        assert first.reason.startswith("refresh failed")
+        local_model_calls.clear()
+        path = reach_path(cmath.exp(complex(-1.3, -8.5)))
+        second = continue_along(fgerm, path, refresh=FRefresh(cmap))
+        assert local_model_calls == []
+        assert second.reason == first.reason
+        fresh = build_map(trunc, 256)
+        assert continue_along(f_germ_at_base(fresh), path, refresh=FRefresh(fresh)) == second
+
     def test_a_hit_returns_the_germ_first_assembled(self, trunc):
         # a Germ is immutable, so the memo hands out the object itself
         cmap = build_map(trunc, 256)
@@ -437,15 +455,27 @@ class TestGermMemo:
             (complex(-1.5, -8.0), ModelUnresolved),  # self-check fails
         ],
     )
-    def test_failed_refresh_is_not_stored(self, trunc, lift, error):
+    def test_failed_refresh_is_stored(self, trunc, local_model_calls, lift, error):
         cmap = build_map(trunc, 256)
         f_germ_at_base(cmap)
         before = list(cmap._germs)
         refresh = FRefresh(cmap)
-        for _ in range(2):
-            with pytest.raises(error):
-                refresh(cmath.exp(lift), lift, 0j)
-            assert list(cmap._germs) == before
+        center = cmath.exp(lift)
+        with pytest.raises(error) as first:
+            refresh(center, lift, 0j)
+        calls = len(local_model_calls)
+        key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
+        assert list(cmap._germs) == before + [key]
+        # the entry is the error's type and args, not the exception: no
+        # traceback keeps the failed assembly's frames alive
+        assert not isinstance(cmap._germs[key], BaseException)
+        assert cmap._germs[key] == (error, first.value.args)
+        with pytest.raises(error) as second:
+            refresh(center, lift, 0j)
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value)
+        assert len(local_model_calls) == calls
+        assert list(cmap._germs) == before + [key]
 
 
 def _reference_steps(cmap):

@@ -1,6 +1,7 @@
 import bisect
 import cmath
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from logstair import engine
 from logstair import (
     CenterMismatch,
     Germ,
+    LogstairError,
     NoRefresh,
     WrongBasePoint,
     continuable_exact,
@@ -24,7 +26,9 @@ from logstair import (
     reach_path,
     validate_path,
 )
-from logstair.staircase import GEOM_TOL
+from logstair.engine import OracleVerdict
+from logstair.paths import lift_point
+from logstair.staircase import GEOM_TOL, _seg_dist, corner_at, in_interior
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
@@ -177,53 +181,147 @@ class TestCrosscheck:
 
 
 @pytest.fixture
-def oracle_runs(monkeypatch):
-    """Counts the oracle's fresh runs, starting from an empty memo."""
+def segment_runs(monkeypatch):
+    """Counts the oracle's fresh segment samplings, starting from an empty
+    segment memo."""
     runs = []
-    inner = engine._sample_lift
+    inner = engine._segment_exit
 
-    def counted(path, geom_tol):
-        runs.append((path, geom_tol))
-        return inner(path, geom_tol)
+    def counted(a, b, theta_a, geom_tol):
+        runs.append((a, b, theta_a, geom_tol))
+        return inner(a, b, theta_a, geom_tol)
 
-    monkeypatch.setattr(engine, "_sample_lift", counted)
-    monkeypatch.setattr(engine, "_last_verdict", (None, None))
+    monkeypatch.setattr(engine, "_segment_exit", counted)
+    monkeypatch.setattr(engine, "_segment_exits", OrderedDict())
     return runs
 
 
-class TestOracleMemo:
-    """continuable_exact keeps its last verdict, so crosscheck does not run
-    the oracle again on a path reach_path has just certified."""
+def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
+    """Reference: continuable_exact as it was before its segment memo, the
+    lift sampled afresh segment by segment."""
+    if abs(path.start - 0.5) > geom_tol:
+        raise WrongBasePoint(path.start)
+    lifted, pts, cum = path._lift, path.points, path._cumlen
+    lift_end = lifted[-1]
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        d = b - a
+        seg = abs(d)
+        if seg == 0.0:
+            continue
+        theta_a = lifted[i].imag
+        n_sub = max(1, math.ceil(seg / _seg_dist(0j, a, b) / engine._ORACLE_ARC))
+        s_prev = 0.0
+        for j in range(1, n_sub + 1):
+            s_bad = j / n_sub
+            if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
+                s_prev = s_bad
+                continue
+            lo, hi = s_prev, s_bad
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
+                    lo = mid
+                else:
+                    hi = mid
+            s_exit = hi + (s_bad - hi) * 1e-6
+            exit_zeta = lift_point(a, theta_a, a + s_exit * d)
+            t_exit = (cum[i] + s_exit * seg) / path.total_length
+            corner = corner_at(exit_zeta, 2.0 * geom_tol)
+            terminal = corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
+            return OracleVerdict("corner" if terminal else "blocked", t_exit, lift_end)
+    return OracleVerdict("continuable", None, lift_end)
 
-    def test_repeat_returns_the_verdict(self, oracle_runs):
+
+class TestOracleMemo:
+    """continuable_exact keeps the exit fraction of each segment it samples,
+    keyed by the segment's ends, the lift's angle at its start and geom_tol,
+    so paths that share segments, and crosscheck after reach_path, sample
+    each shared segment once."""
+
+    def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
         first = continuable_exact(path)
-        assert continuable_exact(path) is first
-        assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) is first
-        assert len(oracle_runs) == 1
-        assert continuable_exact(path, 1e-6).verdict == first.verdict
-        assert len(oracle_runs) == 2
+        assert first.verdict == "blocked"
+        assert continuable_exact(path) == first
+        assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) == first
+        assert len(segment_runs) == 1
 
-    def test_one_entry(self, oracle_runs):
+    def test_one_entry(self, segment_runs):
+        # a segment shared by two paths is sampled once and kept once
+        a = validate_path([0.5, 0.5 + 0.5j, 1j])
+        b = validate_path([0.5, 0.5 + 0.5j, -0.5 + 0.5j])
+        verdicts = [continuable_exact(p) for p in (a, b, a, b)]
+        assert len(segment_runs) == len(engine._segment_exits) == 3
+        assert verdicts == [_oracle_unmemoized(p) for p in (a, b, a, b)]
+
+    def test_shared_blocked_segment_keeps_each_paths_exit(self, segment_runs):
+        # the segment from 0.5 to 2.0, lifted from angle 0, is blocked where
+        # it crosses 1; the second path reaches it after a detour of 0.2
         a = validate_path([0.5, 2.0])
-        b = validate_path([0.5, 0.5 + 0.5j, 1j])
-        verdicts = [continuable_exact(p) for p in (a, b, a, a, b)]
-        assert oracle_runs == [(p, GEOM_TOL) for p in (a, b, a, b)]
-        assert verdicts[0] == verdicts[2] == verdicts[3] != verdicts[1] == verdicts[4]
+        b = validate_path([0.5, 0.6, 0.5, 2.0])
+        assert b._lift[2].imag == a._lift[0].imag
+        va, vb = continuable_exact(a), continuable_exact(b)
+        assert len(segment_runs) == 3
+        assert va == _oracle_unmemoized(a) and vb == _oracle_unmemoized(b)
+        assert va.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert vb.first_exit_t == pytest.approx(0.7 / 1.7, abs=1e-6)
+        assert continuable_exact(a) == va
 
-    def test_crosscheck_after_reach_path_runs_one_oracle(self, oracle_runs):
+    def test_the_lift_angle_is_part_of_the_key(self, segment_runs):
+        # after a loop about 0 the segment from 0.5 to 2.0 lifts 2 pi higher,
+        # above the floor its first lift crosses
+        blocked = continuable_exact(validate_path([0.5, 2.0]))
+        looped = validate_path([0.5, 0.5j, -0.5, -0.5j, 0.5, 2.0])
+        assert looped._lift[-2].imag == pytest.approx(TWO_PI)
+        v = continuable_exact(looped)
+        assert blocked.verdict == "blocked" and v.verdict == "continuable"
+        assert v == _oracle_unmemoized(looped)
+        assert len(segment_runs) == len(looped.points)
+
+    def test_geom_tol_is_part_of_the_key(self, segment_runs):
+        # the lift runs 1e-7 above the corner at 0 and the floor of column
+        # 0: clear of the boundary at 1e-9, on it at 1e-6
+        up = 0.5 * cmath.exp(1e-7j)
+        path = validate_path([0.5, up, math.exp(0.5) * cmath.exp(1e-7j)])
+        fine = continuable_exact(path, 1e-9)
+        coarse = continuable_exact(path, 1e-6)
+        assert fine.verdict == "continuable"
+        assert coarse.verdict == "blocked"
+        assert continuable_exact(path, 1e-9) == fine
+        assert continuable_exact(path, 1e-6) == coarse
+        assert coarse == _oracle_unmemoized(path, 1e-6)
+        assert len(segment_runs) == 4
+
+    def test_memo_is_bounded(self, segment_runs, monkeypatch):
+        monkeypatch.setattr(engine, "SEGMENT_MEMO_CAPACITY", 8)
+        path = reach_path(2j)
+        assert len(path.points) > 9
+        segment_runs.clear()
+        first = continuable_exact(path)
+        assert len(engine._segment_exits) == 8
+        # every entry was evicted before its reuse: the second call samples
+        # each segment again and gets the same verdict
+        assert continuable_exact(path) == first == _oracle_unmemoized(path)
+        assert len(segment_runs) == 2 * (len(path.points) - 1)
+        assert len(engine._segment_exits) == 8
+
+    def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
         path = reach_path(-0.5)
+        assert len(segment_runs) == len(path.points) - 1
+        segment_runs.clear()
         report = crosscheck(path, log_germ(0.5, 0.0))
-        assert oracle_runs == [(path, GEOM_TOL)]
-        assert report.oracle == engine._sample_lift(path, GEOM_TOL)
+        assert segment_runs == []
+        assert report.oracle == _oracle_unmemoized(path)
         assert report.oracle.verdict == "continuable"
 
-    def test_raising_call_is_not_stored(self, oracle_runs):
+    def test_raising_call_is_not_stored(self, segment_runs):
         path = validate_path([1.0, 2.0])
         for _ in range(2):
             with pytest.raises(WrongBasePoint):
                 continuable_exact(path)
-        assert len(oracle_runs) == 2
+        assert segment_runs == []
+        assert not engine._segment_exits
 
 
 class TestOverlap:
@@ -272,6 +370,40 @@ def test_log_chain_radii_track_centers(polar_pts):
     chain = continue_along(log_germ(0.5, 0.0), path)
     for t, g in zip(chain.breakpoints, chain.elements):
         assert abs(g.radius_est - abs(g.center)) <= 0.15 * abs(g.center)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("polyline"), st.lists(polar, min_size=1, max_size=6)),
+        st.tuples(st.just("route"), polar),
+    ),
+    st.sampled_from([None, -1, 0, 1]),
+)
+@example(("polyline", [(0.5, 0.0)]), 0)  # ends on the corner at 0: "corner"
+@example(("polyline", [(1.0, 2.0), (1.0, -2.0)]), 1)
+@example(("route", (2.0, 1.5)), None)
+@settings(max_examples=150, deadline=None)
+def test_segment_memo_keeps_every_verdict(shape, end_column):
+    # a polyline or the route to a target, optionally ending at e^m, the
+    # image of the corner (m, 2 pi m); a verdict is the same from a cleared
+    # memo, a warm one and the unmemoized oracle
+    kind, arg = shape
+    try:
+        if kind == "route":
+            pts = list(reach_path(arg[0] * cmath.exp(1j * arg[1])).points)
+        else:
+            pts = [0.5] + [r * cmath.exp(1j * a) for r, a in arg]
+        if end_column is not None:
+            pts.append(math.exp(end_column))
+        path = validate_path(pts)
+    except LogstairError:
+        assume(False)
+    want = _oracle_unmemoized(path)
+    engine._segment_exits.clear()
+    assert continuable_exact(path) == want
+    assert continuable_exact(path) == want
+    assert continuable_exact(path, 1e-6) == _oracle_unmemoized(path, 1e-6)
+    assert continuable_exact(path) == want
 
 
 def _bisected_step(path, t0, center, cap):
