@@ -103,7 +103,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _make_germ(spec: str, start: complex, order: int):
     """(germ, refresh hook) for a --germ spec; a log germ takes the engine's
-    default hook, h is rebuilt at each center."""
+    default hook, h is rebuilt at each center from the center alone."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "log" and len(parts) == 1:
@@ -111,7 +111,7 @@ def _make_germ(spec: str, start: complex, order: int):
     if kind == "log" and len(parts) == 2:
         return log_germ(start, _parse_scalar(parts[1], "--germ"), order), None
     if kind == "h" and len(parts) == 1:
-        return h_germ(start, order), lambda center, lift, hint: h_germ(center, order)
+        return h_germ(start, order), lambda center, lift, prev: h_germ(center, order)
     raise _FieldError(f"--germ: expected log, log:BRANCH_IM, or h, got {spec!r}")
 
 

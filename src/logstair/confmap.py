@@ -337,12 +337,13 @@ class FRefresh:
     reassembles the composition at each new center on the log branch given
     by the path's lift there.  Holds no state, so one object serves any
     number of runs; repeated (center, lift) pairs are served from the map's
-    memo, across all hooks on that map."""
+    memo, across all hooks on that map.  The germ being continued, prev, is
+    not read: the lift alone fixes the branch."""
 
     def __init__(self, cmap: ConformalMap):
         self.cmap = cmap
 
-    def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
+    def __call__(self, center: complex, lift: complex, prev: Germ) -> Germ:
         return self.cmap._f_germ(center, lift)
 
 

@@ -99,24 +99,27 @@ def _step(path: PathPolyline, i: int, u: float, center: complex, cap: float):
 def continue_along(
     start: Germ,
     path: PathPolyline,
-    refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
+    refresh: Optional[Callable[[complex, complex, Germ], Germ]] = None,
 ) -> ContinuationChain:
     """Continue `start` along `path` by steps of at most STEP_SAFETY times the
     current radius estimate.
 
     Each step rebuilds an authoritative germ at the next center with
-    `refresh(center, lift, hint)`, where lift is the path's log lift at
-    center and hint is the current germ's value there.  Each step is located
-    on one segment (see _step), so paths that share segments hand the hook
-    bit-identical (center, lift) pairs there, and the last step hands it
-    path.end and the lift of the last vertex.  A hook is a pure
+    `refresh(center, lift, prev)`, where lift is the path's log lift at
+    center and prev is the germ being continued; a hook that needs the
+    continued value evaluates prev.eval(center) itself, and one that
+    rebuilds from (center, lift) alone pays nothing for it.  Each step is
+    located on one segment (see _step), so paths that share segments hand
+    the hook bit-identical (center, lift) pairs there, and the last step
+    hands it path.end and the lift of the last vertex.  A hook is a pure
     function of its arguments, so one hook serves any number of runs.  With
     no hook, a germ equal to log_germ(center, Im a_0, order) is rebuilt as
-    the log branch through hint; any other germ needs a hook: a Taylor shift
-    alone carries no radius it can trust, so a step without one raises
-    NoRefresh.  Failure means the radius estimate dropped below RADIUS_FLOOR,
-    MAX_STEPS ran out or the hook raised a LogstairError (ModelUnresolved,
-    for one); t_fail is the furthest parameter reached.
+    the log branch through prev's value at the new center; any other germ
+    needs a hook: a Taylor shift alone carries no radius it can trust, so a
+    step without one raises NoRefresh.  Failure means the radius estimate
+    dropped below RADIUS_FLOOR, MAX_STEPS ran out or the hook raised a
+    LogstairError (ModelUnresolved, for one); t_fail is the furthest
+    parameter reached.
     """
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
@@ -129,7 +132,9 @@ def continue_along(
         and start.center != 0
         and start == log_germ(start.center, start.coeffs[0].imag, order)
     ):
-        refresh = lambda center, lift, hint: log_germ(center, hint.imag, order)
+        refresh = lambda center, lift, prev: log_germ(
+            center, prev.eval(center).imag, order
+        )
     elements = [start]
     breaks = [0.0]
     g = start
@@ -156,9 +161,8 @@ def continue_along(
             return _failed("no forward progress along the path")
         if refresh is None:
             raise NoRefresh("only a log germ has a default refresh; pass a hook")
-        hint = g.eval(center)
         try:
-            g_next = refresh(center, lift, hint)
+            g_next = refresh(center, lift, g)
         except LogstairError as exc:
             return _failed(f"refresh failed: {exc}")
         elements.append(g_next)
@@ -168,11 +172,12 @@ def continue_along(
 
 
 # Exit fractions of the oracle's segments, least recently used dropped first.
-# Routes from the base point form one tree, so paths share segments chord for
-# chord, and crosscheck asks again about the route reach_path has just
-# certified. With 512, 1,024 and 2,048 entries, 200 sweep operations sample
-# 1,230, 1,221 and 1,221 segments afresh, and 600 oracle-paths operations
-# 5,035, 3,360 and 2,376 (bench/ workloads, seed 701).
+# Routes from the base point form one tree, so different routes share the
+# trunk and their column's corridor chord for chord; a path asked again
+# keeps its own verdict (see continuable_exact). With no memo and with 512,
+# 1,024 and 2,048 entries, 200 sweep operations sample 20,788, 1,230, 1,221
+# and 1,221 segments afresh, and 600 oracle-paths operations 16,009, 5,035,
+# 3,360 and 2,376 (bench/ workloads, seed 701).
 SEGMENT_MEMO_CAPACITY = 1024
 _segment_exits = OrderedDict()  # see continuable_exact
 
@@ -185,13 +190,25 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     "corner" only when the offending point sits at a staircase corner AND the
     path terminates there (a lift merely passing through a corner is an
     ordinary blocked exit).  The verdict is a pure function of the path's
-    points and geom_tol.  A segment's exit fraction depends on its ends, the
-    lift's angle at its start and geom_tol alone, so the last
-    SEGMENT_MEMO_CAPACITY of them are kept, keyed by those six doubles' bits;
-    the path parameter and the exit point are recomputed from it each call.
+    points and geom_tol, so the path keeps it, keyed by geom_tol: crosscheck
+    on a path that reach_path or classify has certified looks it up.  A
+    segment's exit fraction depends on its ends, the lift's angle at its
+    start and geom_tol alone, so the last SEGMENT_MEMO_CAPACITY of them are
+    kept too, keyed by those six doubles' bits, for the segments that
+    different paths share; the path parameter and the exit point are
+    recomputed from the fraction.
     """
+    verdicts = path._verdicts
+    if geom_tol in verdicts:
+        return verdicts[geom_tol]
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
+    verdict = verdicts[geom_tol] = _path_verdict(path, geom_tol)
+    return verdict
+
+
+def _path_verdict(path: PathPolyline, geom_tol: float) -> OracleVerdict:
+    """continuable_exact's verdict, computed segment by segment."""
     lifted = path._lift
     lift_end = lifted[-1]
     pts = path.points
@@ -273,7 +290,7 @@ def overlap_disagreement(chain: ContinuationChain, points_per_junction: int = 8)
 def crosscheck(
     path: PathPolyline,
     f_germ: Germ,
-    refresh: Optional[Callable[[complex, complex, complex], Germ]] = None,
+    refresh: Optional[Callable[[complex, complex, Germ], Germ]] = None,
 ) -> CrosscheckReport:
     """Run the numeric engine and the exact oracle on the same path and
     report whether they tell the same story: both continue, or both fail

@@ -236,16 +236,16 @@ def truth_table(m_range, n_offsets, samples_per_slit: int) -> TruthTable:
 
 class _LogLogRefresh:
     """Engine refresh hook for log(log z) germs: the inner log is the path's
-    lift shifted by inner_branch_im, the outer branch comes from the engine's
-    continued value at the new center."""
+    lift shifted by inner_branch_im, the outer branch comes from the value of
+    the germ being continued, prev, at the new center."""
 
     def __init__(self, inner_branch_im: float, order: int = DEFAULT_ORDER):
         self.inner_branch_im = inner_branch_im
         self.order = order
 
-    def __call__(self, center: complex, lift: complex, hint: complex) -> Germ:
+    def __call__(self, center: complex, lift: complex, prev: Germ) -> Germ:
         inner = lift + complex(0.0, self.inner_branch_im)
-        return compose_log(log_germ(inner, hint.imag, self.order), center)
+        return compose_log(log_germ(inner, prev.eval(center).imag, self.order), center)
 
 
 def expexp_demo(order: int = DEFAULT_ORDER) -> ExpExpReport:

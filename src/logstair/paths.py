@@ -61,6 +61,12 @@ class PathPolyline:
         """Continuous log lift at the vertices, start branch 0."""
         return lift_log(self).points
 
+    @cached_property
+    def _verdicts(self) -> dict:
+        """The exact oracle's verdicts on this path, by geom_tol (see
+        engine.continuable_exact)."""
+        return {}
+
     def _locate(self, t: float):
         """(i, u): the point at chord-length fraction t lies at fraction u of
         the segment from vertex i; u is None when it is vertex i itself

@@ -13,6 +13,7 @@ from logstair import (
     CompositionOutOfRange,
     ConformalMap,
     FRefresh,
+    Germ,
     ModelUnresolved,
     OutsideDomain,
     Truncation,
@@ -192,8 +193,8 @@ class TestSelfCheck:
         wall = complex(0.5, 1e-6)
         refresh = FRefresh(cmap)
 
-        def to_the_wall(center, lift, hint):
-            return refresh(cmath.exp(wall), wall, hint)
+        def to_the_wall(center, lift, prev):
+            return refresh(cmath.exp(wall), wall, prev)
 
         chain = continue_along(fgerm, validate_path([0.5, 0.6]), refresh=to_the_wall)
         assert chain.status == "failed"
@@ -234,17 +235,17 @@ class TestFGerm:
     def test_refresh_tracks_the_lift(self, cmap):
         refresh = FRefresh(cmap)
         lift = cmath.log(0.55)
-        g = refresh(0.55 + 0j, lift, 0j)
+        g = refresh(0.55 + 0j, lift, None)
         assert abs(g.coeffs[0] - f_direct(cmap, 0.55)) < 1e-9
         # one turn up the staircase the same center carries another value:
         # the germ is built on the lift it is given, not the principal log
         up = lift + TWO_PI * 1j
-        g_up = refresh(0.55 + 0j, up, 0j)
+        g_up = refresh(0.55 + 0j, up, None)
         assert abs(g_up.coeffs[0] - eval_h(psi_eval(cmap, up))) < 1e-9
         assert abs(g_up.coeffs[0] - g.coeffs[0]) > 1e-3
 
     def test_base_germ_is_the_refresh_at_base(self, cmap):
-        assert f_germ_at_base(cmap) == FRefresh(cmap)(0.5 + 0j, cmap.base, 0j)
+        assert f_germ_at_base(cmap) == FRefresh(cmap)(0.5 + 0j, cmap.base, None)
 
     def test_crosscheck_agrees_on_blocked_segment(self, cmap, fgerm):
         report = crosscheck(validate_path([0.5, 2.0]), fgerm, refresh=FRefresh(cmap))
@@ -283,15 +284,35 @@ class TestRefreshPath:
     def test_completed_chains_end_on_the_map_value(self, cmap, fgerm):
         # the twelve crosscheck targets tracked since the first measurements:
         # a completed chain must end on h(psi(lift end)), not only complete
-        # (worst measured: 3.1e-7, at -0.5)
-        completed = 0
+        # (worst measured: 3.1e-7, at -0.5), and the seven that agree stay
+        # in agreement: a change may add agreements, never drop one
+        completed, agreeing = 0, set()
         for omega in ROADMAP12:
             report = crosscheck(reach_path(omega), fgerm, refresh=FRefresh(cmap))
+            if report.agree:
+                agreeing.add(omega)
             if report.chain.completed:
                 completed += 1
                 want = eval_h(psi_eval(cmap, report.oracle.lift_end))
                 assert abs(report.chain.final.coeffs[0] - want) < 1e-6
         assert completed >= 7
+        assert agreeing >= {2j, -2 + 0.1j, 2.5, -1j, 1.5 + 1.5j, -0.5, 1 + 0.01j}
+
+    def test_refresh_evaluates_no_germ(self, cmap, fgerm, monkeypatch):
+        # FRefresh rebuilds from (center, lift) alone, so a chain along a
+        # route evaluates no germ: the engine no longer sums a value for it
+        evals = []
+        inner = Germ.eval
+
+        def counted(self, z):
+            evals.append(z)
+            return inner(self, z)
+
+        monkeypatch.setattr(Germ, "eval", counted)
+        monkeypatch.setattr(Germ, "__call__", counted)
+        chain = continue_along(fgerm, reach_path(2j), refresh=FRefresh(cmap))
+        assert chain.completed and len(chain.elements) > 10
+        assert evals == []
 
     def test_overflowing_chain_warns_nothing(self, cmap, fgerm):
         # the route to 0.2 ends in a composition that overflows the double
@@ -361,9 +382,9 @@ class TestGermMemo:
         def run(target):
             seen = keys[target] = []
 
-            def hook(center, lift, hint):
+            def hook(center, lift, prev):
                 seen.append(struct.pack("4d", center.real, center.imag, lift.real, lift.imag))
-                return refresh(center, lift, hint)
+                return refresh(center, lift, prev)
 
             return continue_along(fgerm, reach_path(target), refresh=hook)
 
@@ -430,8 +451,8 @@ class TestGermMemo:
         assert f_germ_at_base(cmap) is f_germ_at_base(cmap)
         path = reach_path(2j)
         center, lift = path.points[3], path._lift[3]
-        first = FRefresh(cmap)(center, lift, 0j)
-        assert FRefresh(cmap)(center, lift, 0j) is first
+        first = FRefresh(cmap)(center, lift, None)
+        assert FRefresh(cmap)(center, lift, None) is first
 
     def test_memo_is_bounded(self, trunc, monkeypatch):
         monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)
@@ -462,7 +483,7 @@ class TestGermMemo:
         refresh = FRefresh(cmap)
         center = cmath.exp(lift)
         with pytest.raises(error) as first:
-            refresh(center, lift, 0j)
+            refresh(center, lift, None)
         calls = len(local_model_calls)
         key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
         assert list(cmap._germs) == before + [key]
@@ -471,7 +492,7 @@ class TestGermMemo:
         assert not isinstance(cmap._germs[key], BaseException)
         assert cmap._germs[key] == (error, first.value.args)
         with pytest.raises(error) as second:
-            refresh(center, lift, 0j)
+            refresh(center, lift, None)
         assert second.value is not first.value
         assert str(second.value) == str(first.value)
         assert len(local_model_calls) == calls

@@ -18,6 +18,7 @@ from logstair import (
     continue_along,
     crosscheck,
     eval_h,
+    expexp_demo,
     h_germ,
     lift_at,
     lift_log,
@@ -28,6 +29,7 @@ from logstair import (
 )
 from logstair.engine import OracleVerdict
 from logstair.paths import lift_point
+from logstair.series import compose_log
 from logstair.staircase import GEOM_TOL, _seg_dist, corner_at, in_interior
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +66,7 @@ class TestContinueAlong:
         # period around the loop, and sees exp(lift) == center at every step
         seen = []
 
-        def refresh(center, lift, hint):
+        def refresh(center, lift, prev):
             seen.append(abs(cmath.exp(lift) - center))
             return log_germ(center, lift.imag)
 
@@ -78,7 +80,7 @@ class TestContinueAlong:
         chain = continue_along(
             h_germ(0.1, 64),
             validate_path([0.1, 0.4]),
-            refresh=lambda center, lift, hint: h_germ(center, 64),
+            refresh=lambda center, lift, prev: h_germ(center, 64),
         )
         assert chain.completed
         assert abs(chain.final.coeffs[0] - eval_h(0.4)) < 1e-11
@@ -108,7 +110,7 @@ class TestContinueAlong:
         chain = continue_along(
             bare,
             validate_path([0.5, 2.0j]),
-            refresh=lambda center, lift, hint: log_germ(center, lift.imag),
+            refresh=lambda center, lift, prev: log_germ(center, lift.imag),
         )
         assert chain.completed
         assert abs(chain.final.coeffs[0] - complex(LN2, math.pi / 2)) < 1e-10
@@ -236,14 +238,15 @@ def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
 class TestOracleMemo:
     """continuable_exact keeps the exit fraction of each segment it samples,
     keyed by the segment's ends, the lift's angle at its start and geom_tol,
-    so paths that share segments, and crosscheck after reach_path, sample
-    each shared segment once."""
+    so paths that share segments sample each shared segment once.  A path
+    also keeps its own verdicts, by geom_tol, so a repeat that should reach
+    the segment memo runs on a fresh validate_path of the same points."""
 
     def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
         first = continuable_exact(path)
         assert first.verdict == "blocked"
-        assert continuable_exact(path) == first
+        assert continuable_exact(path) is first  # the path's own verdict
         assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) == first
         assert len(segment_runs) == 1
 
@@ -288,8 +291,9 @@ class TestOracleMemo:
         coarse = continuable_exact(path, 1e-6)
         assert fine.verdict == "continuable"
         assert coarse.verdict == "blocked"
-        assert continuable_exact(path, 1e-9) == fine
-        assert continuable_exact(path, 1e-6) == coarse
+        assert path._verdicts == {1e-9: fine, 1e-6: coarse}
+        assert continuable_exact(validate_path(path.points), 1e-9) == fine
+        assert continuable_exact(validate_path(path.points), 1e-6) == coarse
         assert coarse == _oracle_unmemoized(path, 1e-6)
         assert len(segment_runs) == 4
 
@@ -298,20 +302,26 @@ class TestOracleMemo:
         path = reach_path(2j)
         assert len(path.points) > 9
         segment_runs.clear()
-        first = continuable_exact(path)
+        first = continuable_exact(validate_path(path.points))
         assert len(engine._segment_exits) == 8
         # every entry was evicted before its reuse: the second call samples
         # each segment again and gets the same verdict
-        assert continuable_exact(path) == first == _oracle_unmemoized(path)
+        again = continuable_exact(validate_path(path.points))
+        assert again == first == _oracle_unmemoized(path)
         assert len(segment_runs) == 2 * (len(path.points) - 1)
         assert len(engine._segment_exits) == 8
 
-    def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
+    def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs, monkeypatch):
+        # reach_path certified the route; crosscheck looks that verdict up
+        # on the path and does not read the segment memo
         path = reach_path(-0.5)
         assert len(segment_runs) == len(path.points) - 1
+        certified = continuable_exact(path)
         segment_runs.clear()
+        monkeypatch.setattr(engine, "_segment_exits", None)
         report = crosscheck(path, log_germ(0.5, 0.0))
         assert segment_runs == []
+        assert report.oracle is certified
         assert report.oracle == _oracle_unmemoized(path)
         assert report.oracle.verdict == "continuable"
 
@@ -322,6 +332,48 @@ class TestOracleMemo:
                 continuable_exact(path)
         assert segment_runs == []
         assert not engine._segment_exits
+        assert path._verdicts == {}
+
+
+def _handed_the_value(hook):
+    """A hook written for the engine's old contract, which computed the
+    value prev.eval(center) before the hook ran and handed it over in place
+    of the germ."""
+    return lambda center, lift, prev: hook(center, lift, prev.eval(center))
+
+
+_log_by_value = _handed_the_value(lambda center, lift, value: log_germ(center, value.imag))
+
+
+class TestHookGetsTheGerm:
+    """The engine hands a hook the germ being continued, not its value at
+    the new center: hooks that read the value evaluate it themselves, with
+    the same Horner sum, so their chains are the chains of hooks that were
+    handed the value."""
+
+    def test_default_log_chain_is_unchanged(self):
+        path = reach_path(2j)
+        chain = continue_along(log_germ(0.5, 0.0), path)
+        assert chain.completed
+        assert chain == continue_along(log_germ(0.5, 0.0), path, refresh=_log_by_value)
+
+    def test_expexp_demo_is_unchanged(self):
+        def loglog(inner_branch_im):
+            def hook(center, lift, value):
+                inner = lift + complex(0.0, inner_branch_im)
+                return compose_log(log_germ(inner, value.imag), center)
+
+            return _handed_the_value(hook)
+
+        report = expexp_demo()
+        gamma = report.gamma
+        ell2 = log_germ(1.0, 0.0)
+        branch_a = continue_along(compose_log(ell2, cmath.e), gamma, loglog(0.0))
+        up = validate_path([1.0, complex(1.0, TWO_PI)])
+        ell2_shifted = continue_along(ell2, up, refresh=_log_by_value).final
+        branch_b = continue_along(compose_log(ell2_shifted, cmath.e), gamma, loglog(TWO_PI))
+        assert report.branch_a == branch_a and report.branch_b == branch_b
+        assert not branch_a.completed and branch_b.completed
 
 
 class TestOverlap:
@@ -401,9 +453,10 @@ def test_segment_memo_keeps_every_verdict(shape, end_column):
     want = _oracle_unmemoized(path)
     engine._segment_exits.clear()
     assert continuable_exact(path) == want
-    assert continuable_exact(path) == want
-    assert continuable_exact(path, 1e-6) == _oracle_unmemoized(path, 1e-6)
-    assert continuable_exact(path) == want
+    # the warm calls run on fresh paths, which keep no verdict of their own
+    assert continuable_exact(validate_path(path.points)) == want
+    assert continuable_exact(validate_path(path.points), 1e-6) == _oracle_unmemoized(path, 1e-6)
+    assert continuable_exact(validate_path(path.points)) == want
 
 
 def _bisected_step(path, t0, center, cap):
