@@ -20,7 +20,7 @@ from .errors import LogstairError
 from .monodromy import classify, expexp_demo, reach_path, truth_table
 from .paths import lift_log, validate_path, winding_number
 from .series import DEFAULT_ORDER, h_germ, log_germ
-from .staircase import GEOM_TOL, Truncation
+from .staircase import BASE_LIFT, GEOM_TOL, Truncation
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
@@ -213,6 +213,10 @@ def _cmd_continue(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if not (math.isfinite(args.geom_tol) and args.geom_tol >= 0.0):
+        raise _FieldError(
+            f"--geom-tol: expected a finite number >= 0, got {args.geom_tol!r}"
+        )
     path = _read_path(args.path)
     verdict = continuable_exact(path, geom_tol=args.geom_tol)
     sys.stdout.write(f"verdict={verdict.verdict}\n")
@@ -282,7 +286,7 @@ def _cmd_build_map(args) -> int:
     _emit("\n".join(rows) + "\n", args.out)
     if args.out:
         sys.stdout.write(f"nodes={len(cmap.nodes)}\n")
-        sys.stdout.write(f"base_image={_fmt(abs(psi_eval(cmap, cmap.base)))}\n")
+        sys.stdout.write(f"base_image={_fmt(abs(psi_eval(cmap, BASE_LIFT)))}\n")
     return 0
 
 

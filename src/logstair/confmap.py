@@ -101,22 +101,19 @@ class ConformalMap:
             raise ValueError(
                 f"resolution must be >= {MIN_RESOLUTION}, got {resolution}"
             )
-        if not isinstance(truncation, Truncation):
-            truncation = Truncation(*truncation)
-        base = BASE_LIFT
-        if not truncation.contains(base):
+        if not truncation.contains(BASE_LIFT):
             raise BadTruncation(
-                f"truncation {truncation} does not contain the base lift point {base}"
+                f"truncation {truncation} does not contain the base lift point "
+                f"{BASE_LIFT}"
             )
         self.truncation = truncation
-        self.base = base
         nodes = _grade_nodes(truncation.vertices(), resolution)
         self.nodes = nodes
         self.v0, self.v1 = nodes[0], nodes[1]
 
         w = 1j * np.sqrt((nodes[2:] - self.v1) / (nodes[2:] - self.v0))
         w = np.where(w.imag < 0, -w, w)
-        t = 1j * complex(np.sqrt(complex((base - self.v1) / (base - self.v0))))
+        t = 1j * complex(np.sqrt(complex((BASE_LIFT - self.v1) / (BASE_LIFT - self.v0))))
         if t.imag < 0:
             t = -t
         # per absorbed node, only what _eval_raw reads:
@@ -168,9 +165,9 @@ class ConformalMap:
         self.t_final = -(t_cl * t_cl)  # the disc-map pole parameter p
 
         self.rot = 1.0 + 0j
-        r = min(0.1, 0.5 * truncation.boundary_distance(base))
+        r = min(0.1, 0.5 * truncation.boundary_distance(BASE_LIFT))
         th = TWO_PI * np.arange(64) / 64
-        ring = self._eval_raw(base + r * np.exp(1j * th))
+        ring = self._eval_raw(BASE_LIFT + r * np.exp(1j * th))
         a1 = np.fft.fft(ring)[1] / 64 / r
         self.rot = _SCALE * abs(a1) / a1
         self._germs = OrderedDict()  # see _f_germ
@@ -222,12 +219,6 @@ class ConformalMap:
         delta = -delta * (w_full + self.t_close)
         w_full = self.t_final + delta
         return self.rot * delta / (w_full - np.conj(self.t_final))
-
-    def eval(self, z: complex) -> complex:
-        z = complex(z)
-        if not self.truncation.contains(z):
-            raise OutsideDomain(f"{z} is not interior to the truncated staircase")
-        return complex(self._eval_raw(z)[0])
 
     def local_model(self, zeta, order: int = DEFAULT_ORDER) -> Germ:
         """Taylor germ of the map at an interior point, by Cauchy-integral
@@ -320,7 +311,10 @@ def build_map(truncation, resolution: int) -> ConformalMap:
 
 def psi_eval(cmap: ConformalMap, z) -> complex:
     """Forward evaluation of the disc map at an interior point."""
-    return cmap.eval(z)
+    z = complex(z)
+    if not cmap.truncation.contains(z):
+        raise OutsideDomain(f"{z} is not interior to the truncated staircase")
+    return complex(cmap._eval_raw(z)[0])
 
 
 def f_germ_at_base(cmap: ConformalMap) -> Germ:
@@ -329,7 +323,7 @@ def f_germ_at_base(cmap: ConformalMap) -> Germ:
     The anchored normalization makes the inner value at 0.5 equal zero to
     machine precision, so the constant term is h(0) ~ 0.
     """
-    return cmap._f_germ(BASE_POINT, cmap.base)
+    return cmap._f_germ(BASE_POINT, BASE_LIFT)
 
 
 class FRefresh:

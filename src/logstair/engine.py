@@ -60,12 +60,12 @@ class CrosscheckReport:
     detail: str
 
 
-def _step(path: PathPolyline, i: int, u: float, center: complex, cap: float):
-    """One engine step along `path` from fraction u of segment i: the
-    furthest position (j, v), fraction v of segment j, up to which the path
-    stays within distance cap of center, with its path parameter t, its
-    point z and the log lift there, as (j, v, t, z, lift).  The path's end
-    is (len(points) - 1, 0.0, 1.0, path.end, the last vertex's lift).
+def _step(path: PathPolyline, i: int, center: complex, cap: float):
+    """One engine step along `path` from a point on segment i: the segment j
+    of the furthest point up to which the path stays within distance cap of
+    center, with that point's path parameter t, the point z and the log lift
+    there, as (j, t, z, lift).  The path's end is (len(points) - 1, 1.0,
+    path.end, the last vertex's lift).
 
     The distance to center is convex along each chord, so the path stays
     inside while its vertices do.  On the first segment (a, b) whose far
@@ -92,8 +92,8 @@ def _step(path: PathPolyline, i: int, u: float, center: complex, cap: float):
         v = min(1.0, (root - qb) / qa if qb <= 0.0 else -qc / (qb + root))
         z = a + v * d
         t = (cum[j] + v * (cum[j + 1] - cum[j])) / cum[-1]
-        return j, v, t, z, lift_point(a, lifted[j].imag, z)
-    return len(pts) - 1, 0.0, 1.0, path.end, lifted[-1]
+        return j, t, z, lift_point(a, lifted[j].imag, z)
+    return len(pts) - 1, 1.0, path.end, lifted[-1]
 
 
 def continue_along(
@@ -138,8 +138,7 @@ def continue_along(
     elements = [start]
     breaks = [0.0]
     g = start
-    i, u, t = 0, 0.0, 0.0
-    steps = 0
+    i, t = 0, 0.0
 
     def _failed(reason: str) -> ContinuationChain:
         return ContinuationChain(tuple(elements), tuple(breaks), "failed", t, reason)
@@ -151,12 +150,9 @@ def continue_along(
             )
         if t >= 1.0:
             return ContinuationChain(tuple(elements), tuple(breaks), "completed")
-        if steps >= MAX_STEPS:
+        if len(breaks) > MAX_STEPS:
             return _failed(f"exceeded {MAX_STEPS} steps")
-        steps += 1
-        j, v, t_next, center, lift = _step(
-            path, i, u, g.center, STEP_SAFETY * g.radius_est
-        )
+        j, t_next, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
         if not t_next > t:
             return _failed("no forward progress along the path")
         if refresh is None:
@@ -168,7 +164,7 @@ def continue_along(
         elements.append(g_next)
         breaks.append(t_next)
         g = g_next
-        i, u, t = j, v, t_next
+        i, t = j, t_next
 
 
 # Exit fractions of the oracle's segments, least recently used dropped first.
@@ -214,7 +210,7 @@ def _path_verdict(path: PathPolyline, geom_tol: float) -> OracleVerdict:
     pts = path.points
     cum = path._cumlen
 
-    if not in_interior(lifted[0], geom_tol):  # unreachable for base 0.5
+    if not in_interior(lifted[0], geom_tol):  # reached when geom_tol >= 2*pi
         return OracleVerdict("blocked", 0.0, lift_end)
 
     for i in range(len(pts) - 1):

@@ -132,23 +132,24 @@ def _exp_path(pts) -> PathPolyline:
     On a vertical leg a chord spanning at most EXP_STEP lifts at most
     -ln cos(EXP_STEP/2) ~ 1.25e-3 left of the leg, far inside
     ROUTE_CLEARANCE."""
-    out = []
+    out = [cmath.exp(pts[0])]
+
+    def chord_to(p: complex) -> None:
+        if p != out[-1]:
+            out.append(p)
+
     for a, b in zip(pts, pts[1:]):
         length = abs(b - a)
         unit = (b - a) / length
-        out.append(cmath.exp(a))
+        chord_to(cmath.exp(a))
         k = 1
         while k * EXP_STEP < length:
-            out.append(cmath.exp(a + unit * (k * EXP_STEP)))
+            chord_to(cmath.exp(a + unit * (k * EXP_STEP)))
             k += 1
-    out.append(cmath.exp(pts[-1]))
-    dedup = [out[0]]
-    for p in out[1:]:
-        if p != dedup[-1]:
-            dedup.append(p)
-    if abs(dedup[0] - BASE_POINT) < 1e-12:
-        dedup[0] = BASE_POINT
-    return validate_path(dedup)
+    chord_to(cmath.exp(pts[-1]))
+    if abs(out[0] - BASE_POINT) < 1e-12:
+        out[0] = BASE_POINT
+    return validate_path(out)
 
 
 def _path_to_lift(target: complex) -> PathPolyline:
@@ -169,10 +170,7 @@ def reach_path(omega) -> PathPolyline:
     """A path from 0.5 to omega along which the germ provably continues: its
     lift runs from the base lift point to choose_lift_target(omega) through
     the staircase interior."""
-    omega = complex(omega)
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    return _path_to_lift(choose_lift_target(omega))
+    return _path_to_lift(choose_lift_target(complex(omega)))
 
 
 def _verdict_of(lift_end: complex) -> str:

@@ -66,8 +66,6 @@ class Germ:
             acc = acc * u + a
         return acc
 
-    __call__ = eval
-
 
 def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
     """Germ of the logarithm branch with Im = branch_im at z0.
@@ -228,8 +226,9 @@ def compose(outer: Germ, inner: Germ) -> Germ:
 
 def compose_log(outer: Germ, center) -> Germ:
     """compose(outer, log_germ(center, Im outer.center, outer.order)), by one
-    product with a table when the log's value at center is outer.center
-    exactly, as it is for a lift made by paths.lift_point.
+    product with a table.  The log's value at center must be outer.center
+    exactly, as it is for a lift made by paths.lift_point; otherwise raises
+    ValueError.
 
     With v = (z - center) / center the inner series is then
     outer.center + log(1 + v), so coefficient n of the composition is
@@ -239,7 +238,10 @@ def compose_log(outer: Germ, center) -> Germ:
     K = outer.order
     lam = log_germ(center, outer.center.imag, K)
     if lam.coeffs[0] != outer.center:
-        return compose(outer, lam)
+        raise ValueError(
+            f"log at {lam.center} is {lam.coeffs[0]}, not the outer center "
+            f"{outer.center}"
+        )
     mag = np.abs(lam.coeffs[: K + 1])
     mag[0] = 0.0  # |c_0|, the gap to outer.center
     with np.errstate(over="ignore", invalid="ignore"):

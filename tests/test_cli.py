@@ -131,6 +131,21 @@ class TestOracle:
         assert code == 0
         assert grab(out, "verdict") == "blocked"
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_geom_tol_must_be_finite_and_nonnegative(self, capsys, tmp_path, tol):
+        path = write_path(tmp_path, "cross.json", [0.5, 2])
+        code, out, err = run(capsys, "oracle", "--path", path, f"--geom-tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--geom-tol" in err
+
+    def test_zero_geom_tol_is_valid(self, capsys, tmp_path):
+        path = write_path(tmp_path, "cross.json", [0.5, 2])
+        code, out, _ = run(capsys, "oracle", "--path", path, "--geom-tol", "0")
+        assert code == 0
+        assert grab(out, "verdict") == "blocked"
+        assert float(grab(out, "first_exit_t")) == pytest.approx(1 / 3, abs=1e-6)
+
 
 class TestClassify:
     def test_continuable_with_witness(self, capsys, tmp_path):

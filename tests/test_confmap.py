@@ -30,6 +30,7 @@ from logstair import (
 )
 from logstair import choose_lift_target, confmap, monodromy
 from logstair.confmap import _flip, _interior_grid
+from logstair.staircase import BASE_LIFT
 
 TWO_PI = 2.0 * math.pi
 BASE = complex(math.log(0.5), 0.0)
@@ -245,7 +246,7 @@ class TestFGerm:
         assert abs(g_up.coeffs[0] - g.coeffs[0]) > 1e-3
 
     def test_base_germ_is_the_refresh_at_base(self, cmap):
-        assert f_germ_at_base(cmap) == FRefresh(cmap)(0.5 + 0j, cmap.base, None)
+        assert f_germ_at_base(cmap) == FRefresh(cmap)(0.5 + 0j, BASE_LIFT, None)
 
     def test_crosscheck_agrees_on_blocked_segment(self, cmap, fgerm):
         report = crosscheck(validate_path([0.5, 2.0]), fgerm, refresh=FRefresh(cmap))
@@ -646,4 +647,4 @@ class TestFusedEvaluation:
         cmap, steps = fused_map
         for z in [BASE] + self.interior_points(cmap.truncation, 24, seed=45):
             ref, _ = _reference_eval(cmap, steps, z)
-            self.check(ref, np.asarray([cmap.eval(z)]))
+            self.check(ref, np.asarray([psi_eval(cmap, z)]))

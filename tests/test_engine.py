@@ -119,7 +119,8 @@ class TestContinueAlong:
         monkeypatch.setattr(engine, "MAX_STEPS", 3)
         chain = continue_along(log_germ(0.5, 0.0), ccw_loop(turns=3))
         assert not chain.completed
-        assert "step" in chain.reason
+        assert len(chain.elements) == 4
+        assert chain.reason == "exceeded 3 steps"
 
     def test_cw_loop_loses_2pi(self):
         chain = continue_along(log_germ(0.5, 0.0), ccw_loop(turns=-1))
@@ -158,6 +159,20 @@ class TestOracle:
     def test_upward_path_continuable(self):
         v = continuable_exact(validate_path([0.5, 0.5 + 0.5j, 1j]))
         assert v.verdict == "continuable"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the oracle samples each chord's lift every 0.005 of arc and "
+        "misses an excursion shorter than one sample",
+    )
+    def test_short_excursion_is_blocked(self):
+        # the second chord crosses the real axis at 1.001, at its midpoint:
+        # there the lift lies on the floor of column 0, and it stays off the
+        # interior only for s in [0.5, 0.501003], between two of its 399
+        # samples
+        v = continuable_exact(validate_path([0.5, 1.5 + 0.5j, 0.502 - 0.5j]))
+        assert v.verdict == "blocked"
+        assert v.first_exit_t == pytest.approx(0.7208825, abs=1e-6)
 
     def test_lift_at(self):
         seg = validate_path([0.5, 2.0])
@@ -510,18 +525,18 @@ def test_step_solves_the_exit_on_one_segment(vertices, caps):
     except Exception:
         assume(False)
     last = len(path.points) - 1
-    i, u, t, center = 0, 0.0, 0.0, path.start
+    i, t, center = 0, 0.0, path.start
     for cap in caps:
         if t >= 1.0:
             break
-        j, v, t_next, z, lift = engine._step(path, i, u, center, cap)
+        j, t_next, z, lift = engine._step(path, i, center, cap)
         limit = cap * (1.0 - 1e-12)
         if j == last:
-            assert (v, t_next, z, lift) == (0.0, 1.0, path.end, path._lift[-1])
+            assert (t_next, z, lift) == (1.0, path.end, path._lift[-1])
         else:
             assert abs(abs(z - center) - limit) <= 1e-12 * limit
             assert abs(lift - lift_at(path, t_next)) < 1e-12
         assert all(abs(p - center) <= limit for p in path.points[i + 1 : j + 1])
         assert abs(t_next - _bisected_step(path, t, center, cap)) <= 1e-12
         assert t_next > t
-        i, u, t, center = j, v, t_next, z
+        i, t, center = j, t_next, z

@@ -130,7 +130,7 @@ class TestReachPath:
             assert abs(v.lift_end - choose_lift_target(omega)) < 1e-7
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="omega must be nonzero"):
             reach_path(0.0)
 
 

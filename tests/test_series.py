@@ -535,12 +535,12 @@ class TestLogSubstitution:
                     assert abs(Fraction(entry.real) / exact - 1) <= 1e-15
         np.testing.assert_array_equal(_log_power_table(8), table[:9, :9])
 
-    def test_falls_back_off_the_log_value(self):
+    def test_rejects_a_center_off_the_log_value(self):
         # the log's value at 2 is not the outer center (ln 2 != 0.7), as for
-        # a lift not made by lift_point: compose itself runs
+        # a lift not made by lift_point
         outer = Germ(0.7 + 0.1j, [1.0, 0.5, 0.25, 0.125], 1.0)
-        got = compose_log(outer, 2.0)
-        assert got == compose(outer, log_germ(2.0, 0.1, 3))
+        with pytest.raises(ValueError, match="not the outer center"):
+            compose_log(outer, 2.0)
 
     @given(
         st.lists(unit_coeffs, min_size=2, max_size=65),

@@ -1,0 +1,49 @@
+"""Rules the package's source keeps, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import logstair
+
+SOURCES = sorted(Path(logstair.__file__).parent.glob("*.py"))
+
+# Parameters a caller's contract requires though the body has no use for them.
+UNREAD_BY_CONTRACT = {
+    ("confmap.py", "FRefresh.__call__", "prev"),  # the engine's hook signature
+}
+
+
+def _unread_parameters(source: Path):
+    """(file, qualified function name, parameter) for every parameter of a
+    def that its body never reads.  A method's receiver is not counted, and
+    lambdas are not checked."""
+    tree = ast.parse(source.read_text())
+    owners = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            owners[child] = node
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        owner = owners.get(node)
+        in_class = isinstance(owner, ast.ClassDef)
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        if in_class:
+            params = params[1:]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = f"{owner.name}.{node.name}" if in_class else node.name
+        for p in params:
+            if p not in read:
+                yield (source.name, name, p)
+
+
+def test_every_parameter_is_read():
+    unread = {u for s in SOURCES for u in _unread_parameters(s)}
+    assert unread == UNREAD_BY_CONTRACT
