@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import OrderedDict
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +58,14 @@ RING_LADDER = (0.85, 0.5)
 # alias band against its largest coefficient (see local_model).
 CENTER_TOL = 1e-6
 ALIAS_TOL = 1e-3
+
+# local_model's ring: m samples (the least power of two that is at least
+# 2 * (DEFAULT_ORDER + 1), so 256), the m-th roots of unity, and the exponents
+# 0..DEFAULT_ORDER that scale the FFT's coefficients to the germ's.
+_RING_M = 1 << (2 * DEFAULT_ORDER + 1).bit_length()
+_RING_UNIT = np.exp(1j * TWO_PI * np.arange(_RING_M) / _RING_M)
+_RING_POWERS = np.arange(DEFAULT_ORDER + 1)
+_RING_UNIT.flags.writeable = _RING_POWERS.flags.writeable = False
 
 
 def _flip(s, w):
@@ -220,37 +227,37 @@ class ConformalMap:
         w_full = self.t_final + delta
         return self.rot * delta / (w_full - np.conj(self.t_final))
 
-    def local_model(self, zeta, order: int = DEFAULT_ORDER) -> Germ:
-        """Taylor germ of the map at an interior point, by Cauchy-integral
-        (FFT) sampling on a ring about it.
+    def local_model(self, zeta) -> Germ:
+        """Taylor germ of order DEFAULT_ORDER of the map at an interior point,
+        by Cauchy-integral (FFT) sampling on a ring of _RING_M points about
+        it.
 
         The ring radius is the first rung of RING_LADDER, as a fraction of
         the distance to the truncation boundary, whose samples pass the
         self-check: the ring's mean matches the map at zeta (evaluated in the
         same call) to CENTER_TOL, and the alias band of the FFT, the indices
-        order < k < m - order that the germ drops, stays below ALIAS_TOL times
+        K < k < m - K that the order-K germ drops, stays below ALIAS_TOL times
         the largest coefficient past the constant.  That radius is the germ's
         radius_est.  Raises ModelUnresolved when no rung passes, or when the
-        coefficients are not finite (a ring so small that r**order
-        underflows).
+        coefficients are not finite (a ring so small that r**K underflows).
         """
         zeta = complex(zeta)
         if not self.truncation.contains(zeta):
             raise OutsideDomain(f"{zeta} is not interior to the truncated staircase")
         d = self.truncation.boundary_distance(zeta)
-        m, unit, powers = _ring_layout(order)
+        m, K = _RING_M, DEFAULT_ORDER
         for frac in RING_LADDER:
             r = frac * d
-            vals = self._eval_raw(np.append(zeta + r * unit, zeta))
+            vals = self._eval_raw(np.append(zeta + r * _RING_UNIT, zeta))
             coef = np.fft.fft(vals[:m]) / m
             mags = np.abs(coef[1:])
             if not (
                 abs(coef[0] - vals[m]) <= CENTER_TOL
-                and mags[order : m - order - 1].max() <= ALIAS_TOL * mags.max()
+                and mags[K : m - K - 1].max() <= ALIAS_TOL * mags.max()
             ):
                 continue
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                taylor = coef[: order + 1] / r**powers
+                taylor = coef[: K + 1] / r**_RING_POWERS
             if np.all(np.isfinite(taylor)):
                 return Germ(zeta, tuple(taylor), r)
         raise ModelUnresolved(
@@ -288,19 +295,6 @@ class ConformalMap:
             return entry
         error, args = entry
         raise error(*args)
-
-
-@lru_cache(maxsize=None)
-def _ring_layout(order: int):
-    """local_model's sample count m (a power of two, at least 128 and
-    2 * (order + 1)), its m-th roots of unity and the exponents 0..order."""
-    m = 128
-    while m < 2 * (order + 1):
-        m *= 2
-    unit = np.exp(1j * TWO_PI * np.arange(m) / m)
-    powers = np.arange(order + 1)
-    unit.flags.writeable = powers.flags.writeable = False
-    return m, unit, powers
 
 
 def build_map(truncation, resolution: int) -> ConformalMap:

@@ -16,9 +16,10 @@ from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
 from .paths import PathPolyline, lift_point
-from .series import STEP_SAFETY, Germ, log_germ
+from .series import Germ, log_germ
 from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
+STEP_SAFETY = 0.5
 RADIUS_FLOOR = 1e-4
 MAX_STEPS = 100_000
 CROSS_TOL = 0.02

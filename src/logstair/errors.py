@@ -25,10 +25,6 @@ class OutsideDisc(LogstairError):
     pass
 
 
-class StepTooLarge(LogstairError):
-    pass
-
-
 class CompositionOutOfRange(LogstairError):
     pass
 

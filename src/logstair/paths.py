@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -76,14 +77,7 @@ class PathPolyline:
         if total == 0.0:
             return 0, None
         s = min(1.0, max(0.0, t)) * total
-        # find the segment containing arc length s
-        lo, hi = 0, len(acc) - 1
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if acc[mid] <= s:
-                lo = mid
-            else:
-                hi = mid
+        lo = min(bisect_right(acc, s) - 1, len(acc) - 2)
         seg_len = acc[lo + 1] - acc[lo]
         if seg_len == 0.0:
             return lo, None

@@ -1,10 +1,9 @@
 """Truncated power-series germs: log branches, the lacunary gap series h,
-recentering (Taylor shift), composition, and radius-of-convergence estimation.
+composition, and radius-of-convergence estimation.
 
 A germ is the data (center, a_0..a_K, radius_est).  radius_est is an estimate,
 not a certificate: constructors set it from structure (|z0| for log, 1-|z0|
-for h), composition uses a conservative contraction rule, and recentering
-shrinks it by the shift length.
+for h), and composition uses a conservative contraction rule.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ import numpy as np
 from .errors import (
     CompositionOutOfRange,
     OutsideDisc,
-    StepTooLarge,
     TooFewCoefficients,
     ZeroCenter,
 )
 
 DEFAULT_ORDER = 64
-STEP_SAFETY = 0.5
 COEFF_TOL = 1e-12
 
 # log of the largest magnitude allowed for a single series term; sums of
@@ -168,25 +165,6 @@ def _log_binomials(nu: int, order: int) -> tuple:
     return tuple(
         lg_n - lgamma(k + 1) - lgamma(n - k + 1) for k in range(min(order, n) + 1)
     )
-
-
-def recenter(g: Germ, new_center) -> Germ:
-    """Taylor-shift g to new_center (must lie within STEP_SAFETY * radius_est).
-
-    The new radius_est is the conservative g.radius_est - |shift|.
-    """
-    new_center = complex(new_center)
-    d = new_center - g.center
-    if not abs(d) < STEP_SAFETY * g.radius_est:
-        raise StepTooLarge(
-            f"shift {abs(d):.6g} exceeds {STEP_SAFETY} * radius {g.radius_est:.6g}"
-        )
-    b = list(g.coeffs)
-    top = len(b) - 1
-    for j in range(top):
-        for k in range(top - 1, j - 1, -1):
-            b[k] += d * b[k + 1]
-    return Germ(new_center, tuple(b), g.radius_est - abs(d))
 
 
 def compose(outer: Germ, inner: Germ) -> Germ:

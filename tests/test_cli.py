@@ -139,6 +139,15 @@ class TestOracle:
         assert out == ""
         assert "--geom-tol" in err
 
+    def test_geom_tol_past_two_pi_blocks_at_the_start(self, capsys, tmp_path):
+        # no lift is interior once geom_tol >= 2*pi, the start's included, so
+        # the verdict is blocked at t = 0 before any segment is sampled
+        path = write_path(tmp_path, "cross.json", [0.5, 2])
+        code, out, _ = run(capsys, "oracle", "--path", path, "--geom-tol", "7")
+        assert code == 0
+        assert grab(out, "verdict") == "blocked"
+        assert grab(out, "first_exit_t") == "0.0"
+
     def test_zero_geom_tol_is_valid(self, capsys, tmp_path):
         path = write_path(tmp_path, "cross.json", [0.5, 2])
         code, out, _ = run(capsys, "oracle", "--path", path, "--geom-tol", "0")

@@ -124,7 +124,7 @@ class TestQualityReport:
 
 class TestLocalModel:
     def test_base_model_is_centered(self, cmap):
-        g = cmap.local_model(BASE, 32)
+        g = cmap.local_model(BASE)
         assert g.center == BASE
         # the ring-sample mean carries the evaluator's noise floor; the map
         # itself sends the base to 0 exactly (see test_base_maps_to_zero)
@@ -132,7 +132,7 @@ class TestLocalModel:
 
     def test_model_matches_map_nearby(self, cmap):
         zeta = complex(0.4, 2.0)
-        g = cmap.local_model(zeta, 48)
+        g = cmap.local_model(zeta)
         for d in (0.05, 0.05j, -0.04 + 0.03j):
             assert abs(g.eval(zeta + d) - psi_eval(cmap, zeta + d)) < 1e-9
 
@@ -331,9 +331,9 @@ def local_model_calls(monkeypatch):
     calls = []
     inner = ConformalMap.local_model
 
-    def counted(self, zeta, order=confmap.DEFAULT_ORDER):
+    def counted(self, zeta):
         calls.append(zeta)
-        return inner(self, zeta, order)
+        return inner(self, zeta)
 
     monkeypatch.setattr(ConformalMap, "local_model", counted)
     return calls

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from logstair import engine
 from logstair import (
     CenterMismatch,
+    FRefresh,
     Germ,
     LogstairError,
     NoRefresh,
+    Truncation,
     WrongBasePoint,
+    build_map,
     continuable_exact,
     continue_along,
     crosscheck,
     eval_h,
     expexp_demo,
+    f_germ_at_base,
     h_germ,
     lift_at,
     lift_log,
@@ -400,6 +404,17 @@ class TestOverlap:
     def test_single_germ_chain(self):
         chain = continue_along(log_germ(0.5, 0.0), validate_path([0.5, 0.55]))
         assert overlap_disagreement(chain, 8) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="adjacent germs of the 52-step chain to 1+0.01j disagree by "
+        "2.4e-7, past the acceptance bound of 1e-7",
+    )
+    def test_routed_f_chain_within_the_acceptance_bound(self):
+        # criterion 8 applies the bound to the chain to 2j only (2.3e-8)
+        cmap = build_map(Truncation(-2, 2, 8 * math.pi), 256)
+        chain = continue_along(f_germ_at_base(cmap), reach_path(1 + 0.01j), FRefresh(cmap))
+        assert overlap_disagreement(chain, 8) < 1e-7
 
 
 # ---------------------------------------------------------------------------

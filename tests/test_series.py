@@ -13,7 +13,6 @@ from logstair import (
     CompositionOutOfRange,
     Germ,
     OutsideDisc,
-    StepTooLarge,
     TooFewCoefficients,
     Truncation,
     ZeroCenter,
@@ -25,7 +24,6 @@ from logstair import (
     log_germ,
     lift_at,
     reach_path,
-    recenter,
 )
 from logstair.series import (
     _LOG_HUGE,
@@ -158,25 +156,6 @@ class TestHGerm:
             h_germ(1.0 - 1e-9)
 
 
-class TestRecenter:
-    def test_log_shift(self):
-        g = recenter(log_germ(2.0, 0.0, 48), 2.5)
-        assert g.center == 2.5
-        assert abs(g.coeffs[0] - math.log(2.5)) < 1e-12
-        assert abs(g.coeffs[1] - 0.4) < 1e-12
-        assert g.radius_est == pytest.approx(1.5)  # conservative: 2 - 0.5
-
-    def test_too_far(self):
-        with pytest.raises(StepTooLarge):
-            recenter(log_germ(2.0, 0.0, 8), 4.5)
-
-    def test_evaluation_agrees_on_overlap(self):
-        g = log_germ(2.0, 0.0, 64)
-        s = recenter(g, 2.0 + 0.5j)
-        for w in (2.1 + 0.2j, 1.9 + 0.4j, 2.2 + 0.3j):
-            assert abs(g.eval(w) - s.eval(w)) < 1e-12
-
-
 class TestCompose:
     def test_exp_after_log_is_identity(self):
         # outer: Taylor of exp about ln 2 (value 2); inner: log about 2
@@ -246,16 +225,6 @@ centers = st.builds(
     st.floats(-3.0, 3.0),
     st.floats(-3.0, 3.0),
 ).filter(lambda z: abs(z) > 0.05)
-
-
-@given(centers, st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
-@settings(max_examples=150, deadline=None)
-def test_recenter_preserves_values(z0, dre, dim):
-    g = log_germ(z0, 0.0, 64)
-    d = complex(dre, dim) * abs(z0) * 0.5
-    s = recenter(g, z0 + d)
-    w = z0 + d * 0.5
-    assert abs(g.eval(w) - s.eval(w)) < 1e-9
 
 
 @given(centers)
