@@ -86,7 +86,13 @@ def _read_path(file_name: str):
         isinstance(p, list) and len(p) == 2 for p in pts
     ):
         raise _FieldError(f'--path: "points" must be a list of [re, im] pairs')
-    return validate_path([complex(p[0], p[1]) for p in pts])
+    zs = []
+    for i, p in enumerate(pts):
+        try:
+            zs.append(complex(p[0], p[1]))
+        except (TypeError, OverflowError):
+            raise _FieldError(f"--path: point {i} is not a pair of numbers: {p}") from None
+    return validate_path(zs)
 
 
 def _path_json(path) -> str:

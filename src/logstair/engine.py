@@ -9,8 +9,6 @@ being validated.
 from __future__ import annotations
 
 import math
-import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -168,17 +166,6 @@ def continue_along(
         i, t = j, t_next
 
 
-# Exit fractions of the oracle's segments, least recently used dropped first.
-# Routes from the base point form one tree, so different routes share the
-# trunk and their column's corridor chord for chord; a path asked again
-# keeps its own verdict (see continuable_exact). With no memo and with 512,
-# 1,024 and 2,048 entries, 200 sweep operations sample 20,788, 1,230, 1,221
-# and 1,221 segments afresh, and 600 oracle-paths operations 16,009, 5,035,
-# 3,360 and 2,376 (bench/ workloads, seed 701).
-SEGMENT_MEMO_CAPACITY = 1024
-_segment_exits = OrderedDict()  # see continuable_exact
-
-
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:
     """Exact continuability oracle: the germ continues along `path` precisely
     when the logarithm lift (start branch 0) stays interior to the staircase.
@@ -188,12 +175,10 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     path terminates there (a lift merely passing through a corner is an
     ordinary blocked exit).  The verdict is a pure function of the path's
     points and geom_tol, so the path keeps it, keyed by geom_tol: crosscheck
-    on a path that reach_path or classify has certified looks it up.  A
-    segment's exit fraction depends on its ends, the lift's angle at its
-    start and geom_tol alone, so the last SEGMENT_MEMO_CAPACITY of them are
-    kept too, keyed by those six doubles' bits, for the segments that
-    different paths share; the path parameter and the exit point are
-    recomputed from the fraction.
+    on a path that reach_path or classify has certified looks it up.  A route
+    from reach_path or classify carries how many of its leading segments,
+    which it shares with its spine, the oracle has certified at GEOM_TOL
+    already; at GEOM_TOL the sampling starts after them.
     """
     verdicts = path._verdicts
     if geom_tol in verdicts:
@@ -205,7 +190,9 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
 
 
 def _path_verdict(path: PathPolyline, geom_tol: float) -> OracleVerdict:
-    """continuable_exact's verdict, computed segment by segment."""
+    """continuable_exact's verdict, computed segment by segment from the
+    first one the path's certified prefix leaves (none at another
+    geom_tol)."""
     lifted = path._lift
     lift_end = lifted[-1]
     pts = path.points
@@ -214,20 +201,13 @@ def _path_verdict(path: PathPolyline, geom_tol: float) -> OracleVerdict:
     if not in_interior(lifted[0], geom_tol):  # reached when geom_tol >= 2*pi
         return OracleVerdict("blocked", 0.0, lift_end)
 
-    for i in range(len(pts) - 1):
+    for i in range(path._certified if geom_tol == GEOM_TOL else 0, len(pts) - 1):
         a, b = pts[i], pts[i + 1]
         seg = abs(b - a)
         if seg == 0.0:
             continue
         theta_a = lifted[i].imag
-        key = struct.pack("6d", a.real, a.imag, b.real, b.imag, theta_a, geom_tol)
-        if key in _segment_exits:
-            _segment_exits.move_to_end(key)
-            s_exit = _segment_exits[key]
-        else:
-            s_exit = _segment_exits[key] = _segment_exit(a, b, theta_a, geom_tol)
-            if len(_segment_exits) > SEGMENT_MEMO_CAPACITY:
-                _segment_exits.popitem(last=False)
+        s_exit = _segment_exit(a, b, theta_a, geom_tol)
         if s_exit is not None:
             exit_zeta = lift_point(a, theta_a, a + s_exit * (b - a))
             t_exit = (cum[i] + s_exit * seg) / path.total_length

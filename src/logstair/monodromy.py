@@ -5,25 +5,30 @@ index against the exact lift oracle, and run the two-branch log-log example.
 Path construction works in the lift plane: a polyline is routed from the base
 lift point through the staircase interior (ascending over each glue threshold
 before crossing it), and the actual path in C* is its exponential, whose
-chords lift to within 1.25e-3 of the route (see _exp_path).  The routes form
-one tree: every route into a column shares the trunk and that column's
-corridor up or down its middle, and each leg is cut into chords on a grid
-anchored at the leg's start, so routes share their vertices up to their last
-legs and the continuation engine meets the same germs along them.  Every
-route is certified by the exact oracle on the path the engine walks, which
-samples only the segments it has not kept from earlier paths.
+chords lift to within 1.25e-3 of the route (see _cut).  The routes form one
+tree: every route into a column shares the trunk and that column's corridor
+up or down its middle, and each leg is cut into chords on a grid anchored at
+the leg's start, so routes share their vertices up to their last legs and
+the continuation engine meets the same germs along them.  The tree is kept:
+a spine (_Spine) holds the chords, lengths and lifts of the fixed part of
+the routes, and a route is its spine's prefix plus its own last legs, the
+only ones cut, checked and lifted afresh.  Every route is certified by the
+exact oracle on the path the engine walks, which samples only the segments
+past those its spine has certified.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from .engine import ContinuationChain, continuable_exact, continue_along
 from .errors import NotOnSlit, RoutingFailure
-from .paths import PathPolyline, validate_path
+from .paths import PathPolyline, _extend, validate_path
 from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
 from .staircase import (
     BASE_LIFT,
@@ -77,7 +82,12 @@ class ExpExpReport:
 
 
 def _route_lift(target: complex):
-    """Waypoints from the base lift point to `target` inside the staircase.
+    """Waypoints from the base lift point to `target` inside the staircase,
+    as (spine, tail): the route runs along spine, then one level or vertical
+    leg from spine[-1] to tail[0] (none if they are equal), then along tail.
+    The spine holds the waypoints other routes share: the trunk, a stop at a
+    height other than the target's (1/2 above the floor, or the trunk's on a
+    glue line), and the foot of a descent exactly on a glue line.
 
     Routes form one tree.  The trunk ascends ROUTE_CLEARANCE above each glue
     threshold before crossing to the next column's middle; a target left of
@@ -89,13 +99,13 @@ def _route_lift(target: complex):
     real part and descends onto it; otherwise the corridor leg stops at the
     target's height and one level leg, heading straight at the riser or away
     from it, ends the route.  A glue-line target rises to its height on the
-    glue line and is reached by the same last two legs.  The legs after the
-    trunk need only stay interior: the target may sit closer to the boundary
-    than the trunk clearance.  A waypoint equal to the last one is not
-    appended, so no two consecutive waypoints are equal.
+    glue line and is reached by the same last two legs; the base lift point
+    is reached by no leg at all.  The legs after the trunk need only stay
+    interior: the target may sit closer to the boundary than the trunk
+    clearance.  No two consecutive waypoints of spine or of tail are equal.
     """
     if target == BASE_LIFT:
-        return [BASE_LIFT]
+        return (BASE_LIFT,), [BASE_LIFT]
     xt, yt = target.real, target.imag
     ct = column(xt)
     on_glue = abs(xt - ct) <= GEOM_TOL  # column() snapped xt onto glue line ct
@@ -116,23 +126,28 @@ def _route_lift(target: complex):
         floor = TWO_PI * ct
         near_floor = yt - floor < min(ct + 1 - xt, 0.5)
         y_leg = floor + 0.5 if near_floor else yt
+    fixed = len(pts)
     leg_to(pts[-1].real, y_leg)
+    if y_leg != yt:
+        fixed = len(pts)
     leg_to(xt, y_leg)
+    if y_leg != yt and xt == ct:
+        fixed = len(pts)
     leg_to(xt, yt)
-    return pts
+    return tuple(pts[:fixed]), pts[fixed:] or [pts[-1]]
 
 
-def _exp_path(pts) -> PathPolyline:
-    """Exponential of a lift polyline.  Each leg is cut at every multiple of
-    EXP_STEP of lift from its start, the last chord taking the remainder, so
-    routes whose legs leave the same waypoint in the same direction share
-    their chord vertices bit for bit, however far each leg runs, and the
-    engine refreshes at the same (center, lift) pairs along them.  A
-    horizontal leg maps to a ray, whose chords lift exactly onto the leg.
-    On a vertical leg a chord spanning at most EXP_STEP lifts at most
+def _cut(out: list, pts) -> None:
+    """Append to the chord vertices `out` those of the exponential of the
+    lift polyline pts.  Each leg is cut at every multiple of EXP_STEP of
+    lift from its start, the last chord taking the remainder, so routes
+    whose legs leave the same waypoint in the same direction share their
+    chord vertices bit for bit, however far each leg runs, and the engine
+    refreshes at the same (center, lift) pairs along them.  A horizontal leg
+    maps to a ray, whose chords lift exactly onto the leg.  On a vertical
+    leg a chord spanning at most EXP_STEP lifts at most
     -ln cos(EXP_STEP/2) ~ 1.25e-3 left of the leg, far inside
-    ROUTE_CLEARANCE."""
-    out = [cmath.exp(pts[0])]
+    ROUTE_CLEARANCE.  A vertex equal to the last one is not appended."""
 
     def chord_to(p: complex) -> None:
         if p != out[-1]:
@@ -147,22 +162,93 @@ def _exp_path(pts) -> PathPolyline:
             chord_to(cmath.exp(a + unit * (k * EXP_STEP)))
             k += 1
     chord_to(cmath.exp(pts[-1]))
-    if abs(out[0] - BASE_POINT) < 1e-12:
-        out[0] = BASE_POINT
-    return validate_path(out)
+
+
+class _Spine:
+    """The fixed part of the routes that share a spine of waypoints and
+    leave its end in the direction `unit` (+-1 or +-i): the chords of its
+    legs, then those of the open-ended leg from its last waypoint, cut as
+    _cut cuts a leg and grown on demand.  It keeps the chord vertices with
+    their cumulative lengths and lifts, marks[k], the number of vertices up
+    to the open leg's k-th multiple of EXP_STEP, and certified, how many
+    leading segments the exact oracle has found interior at GEOM_TOL."""
+
+    def __init__(self, waypoints: tuple, unit: complex):
+        self.start, self.unit = waypoints[-1], unit
+        out = [cmath.exp(waypoints[0])]
+        _cut(out, waypoints)
+        out[0] = BASE_POINT  # exp(BASE_LIFT), which may miss it by an ulp
+        self.points, self.cum, self.lifted = [], [], []
+        _extend(self.points, self.cum, self.lifted, out)
+        self.marks = [len(self.points)]
+        # the leading segments it shares with a cached spine that has
+        # certified them, as a column's trunk does with the column before
+        shared = (_common(self.points, s.points[: s.certified + 1]) for s in _spines.values())
+        self.certified = max(shared, default=1) - 1
+
+    def prefix(self, length: float) -> int:
+        """The number of vertices an open leg of `length` takes from the
+        spine: its grid points k * EXP_STEP < length, as _cut cuts it."""
+        k = int(length / EXP_STEP) + 1
+        while k and not k * EXP_STEP < length:
+            k -= 1
+        while len(self.marks) <= k:
+            z = cmath.exp(self.start + self.unit * (len(self.marks) * EXP_STEP))
+            if z != self.points[-1]:
+                _extend(self.points, self.cum, self.lifted, [z])
+            self.marks.append(len(self.points))
+        return self.marks[k]
+
+
+def _common(a: list, b: list) -> int:
+    """The length of the longest common prefix of a and b."""
+    return next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
+
+
+# Spines by their waypoints and direction, least recently used dropped first
+# while they hold more than SPINE_VERTICES chord vertices (about 120 bytes
+# each); the benchmark's sweep routes through 7 spines of 762 vertices.
+# Threads that route at once take turns to find and grow a spine.
+SPINE_VERTICES = 16384
+_spines = OrderedDict()
+_spines_lock = threading.Lock()
+
+
+def _route(target: complex):
+    """(path, spine, n): the exponential of the route to `target`, whose
+    first n vertices are its spine's, with their lengths, lifts and
+    certified segments; only the rest is cut, checked and lifted afresh."""
+    waypoints, tail = _route_lift(target)
+    length = abs(tail[0] - waypoints[-1])
+    unit = (tail[0] - waypoints[-1]) / length if length else 1j
+    with _spines_lock:
+        spine = _spines.pop((waypoints, unit), None) or _Spine(waypoints, unit)
+        _spines[waypoints, unit] = spine
+        n = spine.prefix(length)
+        while len(_spines) > 1 and sum(len(s.points) for s in _spines.values()) > SPINE_VERTICES:
+            _spines.popitem(last=False)
+    pts, cum, lifted = spine.points[:n], spine.cum[:n], spine.lifted[:n]
+    out = pts[-1:]
+    _cut(out, tail)
+    _extend(pts, cum, lifted, out[1:])
+    path = PathPolyline(tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1))
+    return path, spine, n
 
 
 def _path_to_lift(target: complex) -> PathPolyline:
     """The exponential of the route to `target`, certified by the exact
     oracle: the path must be continuable and its lift must end within 1e-7
-    of `target`.  Raises RoutingFailure otherwise."""
-    path = _exp_path(_route_lift(target))
+    of `target`.  Raises RoutingFailure otherwise.  The oracle samples only
+    the segments past those its spine has certified, and certifies the
+    spine's segments that the route takes."""
+    path, spine, n = _route(target)
     verdict = continuable_exact(path)
     if verdict.verdict != "continuable" or abs(verdict.lift_end - target) > 1e-7:
         raise RoutingFailure(
             f"routed path failed the oracle: {verdict.verdict}, "
             f"lift end {verdict.lift_end} vs target {target}"
         )
+    spine.certified = max(spine.certified, n - 1)
     return path
 
 

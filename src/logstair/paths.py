@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -34,9 +34,17 @@ def _as_complex(p) -> complex:
 
 @dataclass(frozen=True)
 class PathPolyline:
-    """A validated polyline in C*, parameterized by chord-length fraction."""
+    """A validated polyline in C*, parameterized by chord-length fraction.
+
+    validate_path builds it with its cumulative chord lengths and the
+    continuous log lift at its vertices (start branch 0).  A route from
+    monodromy also carries how many of its leading segments the exact oracle
+    has found interior at GEOM_TOL already (see engine.continuable_exact)."""
 
     points: tuple
+    _cumlen: tuple = field(repr=False, compare=False)
+    _lift: tuple = field(repr=False, compare=False)
+    _certified: int = field(default=0, repr=False, compare=False)
 
     @property
     def start(self) -> complex:
@@ -46,21 +54,9 @@ class PathPolyline:
     def end(self) -> complex:
         return self.points[-1]
 
-    @cached_property
-    def _cumlen(self):
-        acc = [0.0]
-        for a, b in zip(self.points, self.points[1:]):
-            acc.append(acc[-1] + abs(b - a))
-        return acc
-
     @property
     def total_length(self) -> float:
         return self._cumlen[-1]
-
-    @cached_property
-    def _lift(self) -> tuple:
-        """Continuous log lift at the vertices, start branch 0."""
-        return lift_log(self).points
 
     @cached_property
     def _verdicts(self) -> dict:
@@ -126,18 +122,37 @@ def validate_path(points: Iterable) -> PathPolyline:
     Raises EmptyPath for an empty list and SegmentThroughOrigin (with the
     offending segment index) when any chord touches the origin.
     """
-    pts = tuple(_as_complex(p) for p in points)
+    pts, cum, lifted = [], [], []
+    _extend(pts, cum, lifted, points)
     if not pts:
         raise EmptyPath("path must contain at least one point")
-    for i, p in enumerate(pts):
+    return PathPolyline(tuple(pts), tuple(cum), tuple(lifted))
+
+
+def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
+    """Append the points `new` to the vertices pts of a valid path (or of
+    none), their cumulative chord lengths to cum and their log lifts (start
+    branch 0) to lifted.  The new points are checked as validate_path checks
+    a path, every point before any segment, and a failed check raises
+    before anything is appended."""
+    new = [_as_complex(p) for p in new]
+    for i, p in enumerate(new, len(pts)):
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise ValueError(f"point {i} is not finite: {p}")
         if p == 0:
             raise SegmentThroughOrigin(max(i - 1, 0))
-    for i in range(len(pts) - 1):
-        if _seg_dist(0j, pts[i], pts[i + 1]) <= 0.0:
-            raise SegmentThroughOrigin(i)
-    return PathPolyline(pts)
+    joined = pts[-1:] + new
+    for i in range(len(joined) - 1):
+        if _seg_dist(0j, joined[i], joined[i + 1]) <= 0.0:
+            raise SegmentThroughOrigin(max(len(pts) - 1, 0) + i)
+    for p in new:
+        if pts:
+            cum.append(cum[-1] + abs(p - pts[-1]))
+            lifted.append(lift_point(pts[-1], lifted[-1].imag, p))
+        else:
+            cum.append(0.0)
+            lifted.append(_start_lift(p, 0.0))
+        pts.append(p)
 
 
 def lift_point(a: complex, theta_a: float, z: complex) -> complex:
@@ -153,6 +168,14 @@ def lift_point(a: complex, theta_a: float, z: complex) -> complex:
     return complex(math.log(abs(z)), theta_a + cmath.phase(z / a))
 
 
+def _start_lift(p: complex, start_branch_im: float) -> complex:
+    """Lift of a path's first point p: log|p| + i times the argument of p
+    nearest start_branch_im (see lift_log)."""
+    a0 = cmath.phase(p)
+    turns = math.floor((start_branch_im - a0) / (2.0 * math.pi) + 0.5)
+    return complex(math.log(abs(p)), a0 + 2.0 * math.pi * turns)
+
+
 def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
     """Continuous branch of log along the path.
 
@@ -164,10 +187,7 @@ def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
     exp(lift) == path exact at every vertex, whatever the start's argument.
     """
     pts = path.points
-    a0 = cmath.phase(pts[0])
-    turns = math.floor((start_branch_im - a0) / (2.0 * math.pi) + 0.5)
-    theta = a0 + 2.0 * math.pi * turns
-    lifted = [complex(math.log(abs(pts[0])), theta)]
+    lifted = [_start_lift(pts[0], start_branch_im)]
     for a, b in zip(pts, pts[1:]):
         lifted.append(lift_point(a, lifted[-1].imag, b))
     return LogLift(tuple(lifted))

@@ -336,3 +336,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "wind", "--path", str(bad))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("pair", ['["a", 1]', "[null, 1]", "[1, [2]]", "[1" + "0" * 400 + ", 0]"])
+    def test_non_numeric_coordinate(self, capsys, tmp_path, pair):
+        # a string, null, a list or an integer past the float range
+        bad = tmp_path / "coords.json"
+        bad.write_text(f'{{"points": [[0.5, 0], {pair}]}}')
+        code, out, err = run(capsys, "wind", "--path", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --path: point 1 is not a pair of numbers")

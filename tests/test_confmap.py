@@ -421,7 +421,8 @@ class TestGermMemo:
             path = reach_path(omega)
             local_model_calls.clear()
             chain = continue_along(fgerm, path, refresh=FRefresh(cmap))
-            last_leg_start = monodromy._route_lift(choose_lift_target(omega))[-2]
+            spine, tail = monodromy._route_lift(choose_lift_target(omega))
+            last_leg_start = [*spine, *tail][-2]
             k = next(k for k, z in enumerate(path._lift) if abs(z - last_leg_start) < 1e-12)
             t_last = path._cumlen[k] / path.total_length
             last_leg_steps = sum(t > t_last for t in chain.breakpoints[1:])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logstair import engine
+from logstair import engine, monodromy
 from logstair import (
     CenterMismatch,
     FRefresh,
@@ -17,6 +17,7 @@ from logstair import (
     Truncation,
     WrongBasePoint,
     build_map,
+    choose_lift_target,
     continuable_exact,
     continue_along,
     crosscheck,
@@ -203,8 +204,8 @@ class TestCrosscheck:
 
 @pytest.fixture
 def segment_runs(monkeypatch):
-    """Counts the oracle's fresh segment samplings, starting from an empty
-    segment memo."""
+    """Counts the oracle's segment samplings, starting from an empty spine
+    cache."""
     runs = []
     inner = engine._segment_exit
 
@@ -213,13 +214,13 @@ def segment_runs(monkeypatch):
         return inner(a, b, theta_a, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
-    monkeypatch.setattr(engine, "_segment_exits", OrderedDict())
+    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
     return runs
 
 
 def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
-    """Reference: continuable_exact as it was before its segment memo, the
-    lift sampled afresh segment by segment."""
+    """Reference: continuable_exact with nothing kept, the lift sampled
+    afresh segment by segment from the path's start."""
     if abs(path.start - 0.5) > geom_tol:
         raise WrongBasePoint(path.start)
     lifted, pts, cum = path._lift, path.points, path._cumlen
@@ -255,11 +256,10 @@ def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
 
 
 class TestOracleMemo:
-    """continuable_exact keeps the exit fraction of each segment it samples,
-    keyed by the segment's ends, the lift's angle at its start and geom_tol,
-    so paths that share segments sample each shared segment once.  A path
-    also keeps its own verdicts, by geom_tol, so a repeat that should reach
-    the segment memo runs on a fresh validate_path of the same points."""
+    """A path keeps the exact oracle's verdicts, by geom_tol, so a repeat on
+    the same path samples nothing; a fresh validate_path of the same points
+    keeps nothing and samples every segment again.  Routes start sampling
+    after the prefix their spine has certified (tests/test_monodromy.py)."""
 
     def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
@@ -267,15 +267,7 @@ class TestOracleMemo:
         assert first.verdict == "blocked"
         assert continuable_exact(path) is first  # the path's own verdict
         assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) == first
-        assert len(segment_runs) == 1
-
-    def test_one_entry(self, segment_runs):
-        # a segment shared by two paths is sampled once and kept once
-        a = validate_path([0.5, 0.5 + 0.5j, 1j])
-        b = validate_path([0.5, 0.5 + 0.5j, -0.5 + 0.5j])
-        verdicts = [continuable_exact(p) for p in (a, b, a, b)]
-        assert len(segment_runs) == len(engine._segment_exits) == 3
-        assert verdicts == [_oracle_unmemoized(p) for p in (a, b, a, b)]
+        assert len(segment_runs) == 2
 
     def test_shared_blocked_segment_keeps_each_paths_exit(self, segment_runs):
         # the segment from 0.5 to 2.0, lifted from angle 0, is blocked where
@@ -284,7 +276,7 @@ class TestOracleMemo:
         b = validate_path([0.5, 0.6, 0.5, 2.0])
         assert b._lift[2].imag == a._lift[0].imag
         va, vb = continuable_exact(a), continuable_exact(b)
-        assert len(segment_runs) == 3
+        assert len(segment_runs) == 4
         assert va == _oracle_unmemoized(a) and vb == _oracle_unmemoized(b)
         assert va.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert vb.first_exit_t == pytest.approx(0.7 / 1.7, abs=1e-6)
@@ -314,30 +306,15 @@ class TestOracleMemo:
         assert continuable_exact(validate_path(path.points), 1e-9) == fine
         assert continuable_exact(validate_path(path.points), 1e-6) == coarse
         assert coarse == _oracle_unmemoized(path, 1e-6)
-        assert len(segment_runs) == 4
+        assert len(segment_runs) == 8
 
-    def test_memo_is_bounded(self, segment_runs, monkeypatch):
-        monkeypatch.setattr(engine, "SEGMENT_MEMO_CAPACITY", 8)
-        path = reach_path(2j)
-        assert len(path.points) > 9
-        segment_runs.clear()
-        first = continuable_exact(validate_path(path.points))
-        assert len(engine._segment_exits) == 8
-        # every entry was evicted before its reuse: the second call samples
-        # each segment again and gets the same verdict
-        again = continuable_exact(validate_path(path.points))
-        assert again == first == _oracle_unmemoized(path)
-        assert len(segment_runs) == 2 * (len(path.points) - 1)
-        assert len(engine._segment_exits) == 8
-
-    def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs, monkeypatch):
+    def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
         # reach_path certified the route; crosscheck looks that verdict up
-        # on the path and does not read the segment memo
+        # on the path and samples nothing
         path = reach_path(-0.5)
         assert len(segment_runs) == len(path.points) - 1
         certified = continuable_exact(path)
         segment_runs.clear()
-        monkeypatch.setattr(engine, "_segment_exits", None)
         report = crosscheck(path, log_germ(0.5, 0.0))
         assert segment_runs == []
         assert report.oracle is certified
@@ -350,7 +327,6 @@ class TestOracleMemo:
             with pytest.raises(WrongBasePoint):
                 continuable_exact(path)
         assert segment_runs == []
-        assert not engine._segment_exits
         assert path._verdicts == {}
 
 
@@ -465,28 +441,28 @@ def test_log_chain_radii_track_centers(polar_pts):
 @example(("polyline", [(1.0, 2.0), (1.0, -2.0)]), 1)
 @example(("route", (2.0, 1.5)), None)
 @settings(max_examples=150, deadline=None)
-def test_segment_memo_keeps_every_verdict(shape, end_column):
+def test_certified_prefix_keeps_every_verdict(shape, end_column):
     # a polyline or the route to a target, optionally ending at e^m, the
-    # image of the corner (m, 2 pi m); a verdict is the same from a cleared
-    # memo, a warm one and the unmemoized oracle
+    # image of the corner (m, 2 pi m); a verdict equals the reference's on
+    # the route as its spine builds it, whose leading segments the spine has
+    # certified, and on a fresh path of the same points, at GEOM_TOL and 1e-6
     kind, arg = shape
     try:
         if kind == "route":
-            pts = list(reach_path(arg[0] * cmath.exp(1j * arg[1])).points)
+            omega = arg[0] * cmath.exp(1j * arg[1])
+            reach_path(omega)  # certifies the route's spine
+            path, _, n = monodromy._route(choose_lift_target(omega))
+            assert path._certified == n - 1
         else:
-            pts = [0.5] + [r * cmath.exp(1j * a) for r, a in arg]
+            path = validate_path([0.5] + [r * cmath.exp(1j * a) for r, a in arg])
         if end_column is not None:
-            pts.append(math.exp(end_column))
-        path = validate_path(pts)
+            path = validate_path(list(path.points) + [math.exp(end_column)])
     except LogstairError:
         assume(False)
-    want = _oracle_unmemoized(path)
-    engine._segment_exits.clear()
-    assert continuable_exact(path) == want
-    # the warm calls run on fresh paths, which keep no verdict of their own
-    assert continuable_exact(validate_path(path.points)) == want
-    assert continuable_exact(validate_path(path.points), 1e-6) == _oracle_unmemoized(path, 1e-6)
-    assert continuable_exact(validate_path(path.points)) == want
+    for geom_tol in (GEOM_TOL, 1e-6):
+        want = _oracle_unmemoized(path, geom_tol)
+        assert continuable_exact(path, geom_tol) == want
+        assert continuable_exact(validate_path(path.points), geom_tol) == want
 
 
 def _bisected_step(path, t0, center, cap):

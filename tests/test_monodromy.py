@@ -1,11 +1,17 @@
 import cmath
+import hashlib
 import math
 import random
+import struct
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import logstair.engine as engine
 import logstair.monodromy as monodromy
 from logstair import (
     NotOnSlit,
@@ -19,6 +25,7 @@ from logstair import (
     overlap_disagreement,
     reach_path,
     truth_table,
+    validate_path,
     winding_number,
 )
 from logstair.staircase import BASE_LIFT, GEOM_TOL, column, in_interior
@@ -171,6 +178,12 @@ def _route_lift_reference(target: complex):
     return out
 
 
+def _waypoints(target: complex):
+    """monodromy._route_lift's spine and tail as one list of waypoints."""
+    spine, tail = monodromy._route_lift(target)
+    return [*spine, *tail[tail[0] == spine[-1] :]]
+
+
 def _above_floor(x: float, height: float) -> complex:
     return complex(x, TWO_PI * column(x) + height)
 
@@ -201,9 +214,12 @@ class TestRouteLift:
     @example(complex(0.75, 0.25))  # floor and riser equally near: no stop above the floor
     @settings(max_examples=1000, deadline=None)
     def test_matches_reference(self, target):
-        pts = monodromy._route_lift(target)
+        pts = _waypoints(target)
         assert pts == _route_lift_reference(target)
         assert all(p != q for p, q in zip(pts, pts[1:]))
+        # the spine's open leg runs level or vertically
+        spine, tail = monodromy._route_lift(target)
+        assert (tail[0] - spine[-1]).real == 0.0 or (tail[0] - spine[-1]).imag == 0.0
 
     def test_trunk_keeps_the_clearance(self):
         # every leg but the last two keeps ROUTE_CLEARANCE from the boundary;
@@ -214,7 +230,7 @@ class TestRouteLift:
         for x in [-4.0 + 0.25 * i for i in range(37)]:
             for a in [-math.pi + TWO_PI * (j + 0.5) / 8 for j in range(8)]:
                 target = choose_lift_target(cmath.exp(complex(x, a)))
-                pts = monodromy._route_lift(target)
+                pts = _waypoints(target)
                 n_legs = len(pts) - 1
                 for i, (p, q) in enumerate(zip(pts, pts[1:])):
                     n_sub = max(1, math.ceil(abs(q - p) / step))
@@ -228,7 +244,7 @@ class TestRouteLift:
 
 
 def _chord_grid(pts):
-    """Lift-plane vertices of _exp_path(pts), leg by leg: the leg's start and
+    """Lift-plane vertices of the route along pts, leg by leg: the leg's start and
     every multiple of EXP_STEP along it, then the route's end.  A leg too
     short to move its exponential (a glue-line target a few ulps off the
     line) adds no vertex."""
@@ -250,8 +266,8 @@ class TestExpPath:
     @given(route_targets)
     @settings(max_examples=300, deadline=None)
     def test_chords_run_on_each_legs_grid(self, target):
-        pts = monodromy._route_lift(target)
-        path = monodromy._exp_path(pts)
+        pts = _waypoints(target)
+        path = monodromy._route(target)[0]
         assert all(p != q for p, q in zip(path.points, path.points[1:]))
         lifted = path._lift
         assert len(lifted) == len(_chord_grid(pts))
@@ -273,11 +289,165 @@ class TestExpPath:
         # the route to `near` leaves its last shared waypoint along the
         # route to `far`; both paths are equal vertex for vertex up to the
         # end of that leg on `near`'s route
-        p_near = monodromy._exp_path(monodromy._route_lift(near))
-        p_far = monodromy._exp_path(monodromy._route_lift(far))
+        p_near = monodromy._route(near)[0]
+        p_far = monodromy._route(far)[0]
         n = next(k for k, (a, b) in enumerate(zip(p_near.points, p_far.points)) if a != b)
-        assert abs(p_near._lift[n] - monodromy._route_lift(near)[-2]) < 1e-12
+        assert abs(p_near._lift[n] - _waypoints(near)[-2]) < 1e-12
         assert n > 20
+
+
+# The routes' bits: points, cumulative lengths and lifts of reach_path and
+# classify paths, pinned before the routes were built from spines.
+ROUTE_BITS_SHA256 = "56b3ac504e90191dfb73b56c3e66bd66293116cffc29d2d9afaa2f41471c5356"
+ROADMAP12 = (3j, 0.2, 0.2j, 4, 0.1 - 0.1j, 2j, -2 + 0.1j, 2.5, -1j, 1.5 + 1.5j, -0.5, 1 + 0.01j)
+PINNED_ROUTES = (
+    *(("reach", omega) for omega in ROADMAP12),
+    ("classify", -E2, 2, 3),  # up the glue line x = 2
+    ("classify", 1j, 0, 2),  # up the glue line x = 0
+    ("classify", -math.exp(-1), -1, 0),  # down the glue line x = -1
+    ("classify", -math.exp(-2), -2, 0),  # down the glue line x = -2
+    ("classify", 0.6, 0, 1),  # a segment row
+    ("reach", cmath.exp(complex(0.3, 0.2))),  # near the floor of column 0
+    ("reach", cmath.exp(complex(-1.6, 0.3))),  # near a floor left of the base column
+    ("reach", cmath.exp(complex(-1.5, 1.0))),  # left of the base column
+    ("reach", cmath.exp(complex(-3.2, 2.0))),
+    ("reach", cmath.exp(complex(1.3, -2.9))),
+    ("reach", 0.5),  # the constant path
+)
+
+
+def _pinned_path(query):
+    if query[0] == "reach":
+        return reach_path(query[1])
+    return classify(*query[1:]).witness_path
+
+
+def _route_bits(path) -> bytes:
+    doubles = [x for z in path.points for x in (z.real, z.imag)]
+    doubles += path._cumlen
+    doubles += [x for z in path._lift for x in (z.real, z.imag)]
+    return struct.pack(f"{len(doubles)}d", *doubles)
+
+
+@pytest.fixture
+def cold_spines(monkeypatch):
+    """An empty spine cache, for this test alone."""
+    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
+    return monodromy
+
+
+class TestRouteBits:
+    def test_routes_keep_their_bits(self, cold_spines):
+        bits = b"".join(_route_bits(_pinned_path(q)) for q in PINNED_ROUTES)
+        assert hashlib.sha256(bits).hexdigest() == ROUTE_BITS_SHA256
+
+    def test_cold_and_warm_spines_build_the_same_paths(self, cold_spines):
+        # in both orders, from an empty cache and again from a warm one
+        want = {q: _pinned_path(q) for q in PINNED_ROUTES}
+        for order in (PINNED_ROUTES, PINNED_ROUTES[::-1]):
+            for _ in range(2):
+                for q in order:
+                    path = _pinned_path(q)
+                    assert path == want[q]
+                    assert _route_bits(path) == _route_bits(want[q])
+            cold_spines._spines.clear()
+
+
+@pytest.fixture
+def sampled(monkeypatch, cold_spines):
+    """The oracle's segment samplings, as (a, b, theta_a, geom_tol), from an
+    empty spine cache."""
+    runs = []
+    inner = engine._segment_exit
+
+    def counted(a, b, theta_a, geom_tol):
+        runs.append((a, b, theta_a, geom_tol))
+        return inner(a, b, theta_a, geom_tol)
+
+    monkeypatch.setattr(engine, "_segment_exit", counted)
+    return runs
+
+
+def _segments(path, first):
+    return [
+        (path.points[i], path.points[i + 1], path._lift[i].imag, GEOM_TOL)
+        for i in range(first, len(path.points) - 1)
+    ]
+
+
+class TestSpines:
+    @given(route_targets)
+    @settings(max_examples=200, deadline=None)
+    def test_certified_prefix_gives_the_full_pass_verdict(self, target):
+        # the oracle on a route, which starts after the segments its spine
+        # has certified, and on a fresh path of the same points
+        try:
+            monodromy._path_to_lift(target)
+        except RoutingFailure:
+            assume(False)
+        path, _, n = monodromy._route(target)
+        assert path._certified == n - 1
+        for geom_tol in (GEOM_TOL, 1e-6):
+            full = continuable_exact(validate_path(path.points), geom_tol)
+            assert continuable_exact(path, geom_tol) == full
+
+    def test_a_second_route_samples_only_its_last_legs(self, sampled):
+        # up column 0's corridor: the higher target certifies the spine, and
+        # the lower one samples from its corridor's last grid point on
+        reach_path(cmath.exp(complex(0.3, 5.5)))
+        assert len(sampled) > 60
+        sampled.clear()
+        path = reach_path(cmath.exp(complex(0.8, 3.0)))
+        k = path._certified
+        assert abs(path._lift[k] - complex(0.5, 0.05 + 29 * monodromy.EXP_STEP)) < 1e-12
+        assert sampled == _segments(path, k)
+        assert len(sampled) == 4  # the corridor's last chord, three level ones
+
+    def test_a_second_glue_route_samples_one_segment(self, sampled):
+        # classify's circle rows on M = 2 climb the glue line x = 2 and end
+        # on it: past the spine, a route has one chord of its own
+        high = classify(-E2, 2, 3).witness_path
+        sampled.clear()
+        low = classify(E2 * cmath.exp(2j), 2, 3).witness_path
+        assert low.points[: low._certified + 1] == high.points[: low._certified + 1]
+        assert sampled == _segments(low, low._certified) and len(sampled) == 1
+
+    def test_cache_is_bounded(self, cold_spines, monkeypatch):
+        targets = [cmath.exp(complex(x, a)) for x in (-1.6, -0.4, 0.5, 1.5, 2.5) for a in (-2.0, 2.0)]
+        want = [_route_bits(reach_path(omega)) for omega in targets]
+        assert len(cold_spines._spines) > 4
+        cold_spines._spines.clear()
+        monkeypatch.setattr(monodromy, "SPINE_VERTICES", 300)
+        for omega, bits in zip(targets, want):
+            assert _route_bits(reach_path(omega)) == bits
+            held = sum(len(s.points) for s in cold_spines._spines.values())
+            assert held <= 300 or len(cold_spines._spines) == 1
+
+
+    def test_threads_build_the_same_paths(self, cold_spines):
+        # eight threads route the pinned targets at once, switching often,
+        # and each gets the paths a lone caller gets
+        want = [_route_bits(_pinned_path(q)) for q in PINNED_ROUTES]
+        cold_spines._spines.clear()
+        got = []
+
+        def work(shift):
+            queries = PINNED_ROUTES[shift:] + PINNED_ROUTES[:shift]
+            bits = [_route_bits(_pinned_path(q)) for q in queries]
+            got.append(bits[-shift:] + bits[:-shift] if shift else bits)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
 
 
 class TestCertificate:

@@ -13,6 +13,7 @@ from logstair import (
     validate_path,
     winding_number,
 )
+from logstair.paths import _extend
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,6 +107,25 @@ class TestValidation:
     def test_non_finite_point(self):
         with pytest.raises(ValueError):
             validate_path([1.0, complex(math.nan, 0.0)])
+
+    def test_points_are_checked_before_segments(self):
+        # segment 1 passes through 0, but the bad point after it is reported
+        with pytest.raises(SegmentThroughOrigin) as exc:
+            validate_path([1.0, 1 + 1j, -1 - 1j, 0.0])
+        assert exc.value.segment_index == 2
+        with pytest.raises(ValueError, match="point 3 is not finite"):
+            validate_path([1.0, 1 + 1j, -1 - 1j, complex(math.nan, 0.0)])
+
+    def test_a_failed_extension_appends_nothing(self):
+        path = validate_path([0.5, 1j])
+        pts, cum, lifted = list(path.points), list(path._cumlen), list(path._lift)
+        for bad in ([2j, -1j], [2.0, math.inf], [0.0]):
+            with pytest.raises((ValueError, SegmentThroughOrigin)):
+                _extend(pts, cum, lifted, bad)
+            assert (pts, cum, lifted) == (list(path.points), list(path._cumlen), list(path._lift))
+        _extend(pts, cum, lifted, [-1.0, -1j])
+        assert validate_path(pts) == validate_path([0.5, 1j, -1.0, -1j])
+        assert (tuple(cum), tuple(lifted)) == (validate_path(pts)._cumlen, validate_path(pts)._lift)
 
     def test_point_at_endpoints(self):
         p = validate_path([1.0, 1j])
