@@ -124,9 +124,12 @@ class ConformalMap:
         if t.imag < 0:
             t = -t
         # per absorbed node, only what _eval_raw reads:
-        # (k_in^2, -k_in/b, 2 t_mid, s_t^2, s_t, t_mid, t_out, f_t), with
-        # k_in = 1 - t_in/b (k_in^2 is None when b is infinite) and s_t the
-        # unflipped square root at the anchor, s_t^2 = t_mid^2 + c2 its radicand
+        # (k_in^2, -k_in/b, 2 t_mid, s_t^2, s_t, -s_t, f_t > 0, t_mid, t_out,
+        # f_t), with k_in = 1 - t_in/b (the first two are None when b is
+        # infinite) and s_t the unflipped square root at the anchor, s_t^2 =
+        # t_mid^2 + c2 its radicand.  The first six are 0-d arrays, which a
+        # ufunc takes in about half the time of a Python complex; the last
+        # three serve only the rare mixed-branch step.
         self.t_start = t
         steps = []
         v0_img = None  # image of v0 (starts at infinity under the initial map)
@@ -143,12 +146,16 @@ class ConformalMap:
                 t_mid, kk, mk = t, None, None
             else:
                 k_in = 1.0 - t / b
-                t_mid, kk, mk = t / k_in, k_in * k_in, -k_in / b
+                t_mid = t / k_in
+                kk, mk = np.array(k_in * k_in), np.array(-k_in / b)
             sq = t_mid * t_mid + c2
             s_t = complex(np.sqrt(complex(sq)))
             f_t = -1.0 if _flip(s_t, t_mid) else 1.0
             t_out = f_t * s_t
-            steps.append((kk, mk, 2.0 * t_mid, sq, s_t, t_mid, t_out, f_t))
+            steps.append((
+                kk, mk, np.array(2.0 * t_mid), np.array(sq), np.array(s_t),
+                np.array(-s_t), f_t > 0, t_mid, t_out, f_t,
+            ))
             t = t_out
             if not math.isinf(b):
                 w = w / (1.0 - w / b)
@@ -186,34 +193,40 @@ class ConformalMap:
         w = np.where(w.imag < 0, -w, w)
         delta = w - self.t_start
         # scratch buffers; no product is written over one of its factors,
-        # which for one-point arrays would change numpy's rounding
+        # which for one-point arrays would change numpy's rounding.  The
+        # loop makes about 2,300 ufunc calls on arrays of 1 to 257 points,
+        # so their dispatch is most of its cost: outputs go positionally,
+        # the ufuncs are locals and the branch check reads one view of
+        # s_w.imag.
         u = np.empty_like(delta)
         s_w = np.empty_like(delta)
         prod = np.empty_like(delta)
-        for kk, mk, two_t_mid, sq, s_t, t_mid, t_out, f_t in self.steps:
+        im = s_w.imag
+        argmin, argmax = im.argmin, im.argmax
+        add, subtract, multiply, divide, sqrt = (
+            np.add, np.subtract, np.multiply, np.divide, np.sqrt
+        )
+        for kk, mk, two_t_mid, sq, s_t, neg_s_t, pos, t_mid, t_out, f_t in self.steps:
             if kk is not None:
                 # Moebius step: delta / (k_in^2 - (k_in/b) delta)
-                np.multiply(delta, mk, out=u)
-                u += kk
-                delta /= u
+                multiply(delta, mk, u)
+                add(u, kk, u)
+                divide(delta, u, delta)
             # slit step: with w = t_mid + delta, w^2 + c2 = s_t^2 + prod
-            np.add(delta, two_t_mid, out=u)
-            np.multiply(delta, u, out=prod)
-            np.add(prod, sq, out=s_w)
-            np.sqrt(s_w, out=s_w)
-            if (
-                np.minimum.reduce(s_w.imag) > 0.0
-                if f_t > 0
-                else np.maximum.reduce(s_w.imag) < 0.0
-            ):
+            add(delta, two_t_mid, u)
+            multiply(delta, u, prod)
+            add(prod, sq, s_w)
+            sqrt(s_w, s_w)
+            # the extreme imaginary part, NaN if any point's is NaN
+            if im[argmin()] > 0.0 if pos else im[argmax()] < 0.0:
                 # every point keeps the anchor's branch: only the
                 # cancellation-free form is needed, its sign f_t folded
                 # into the denominator
-                if f_t > 0:
-                    s_w += s_t
+                if pos:
+                    add(s_w, s_t, s_w)
                 else:
-                    np.subtract(-s_t, s_w, out=s_w)
-                np.divide(prod, s_w, out=delta)
+                    subtract(neg_s_t, s_w, s_w)
+                divide(prod, s_w, delta)
             else:
                 f_w = np.where(_flip(s_w, delta + t_mid), -1.0, 1.0)
                 delta = np.where(

@@ -91,8 +91,8 @@ def boundary_distance(z: complex) -> float:
 class Truncation:
     """Bounded polygonal view of the staircase, for the conformal module.
 
-    Covers columns n_min..n_max, capped above at y_max.  The cap must leave
-    at least a full step of headroom over the highest floor.
+    Covers columns n_min..n_max, capped above at y_max.  The cap must be
+    finite and leave at least a full step of headroom over the highest floor.
     """
 
     n_min: int
@@ -100,6 +100,8 @@ class Truncation:
     y_max: float
 
     def __post_init__(self):
+        if not math.isfinite(self.y_max):
+            raise BadTruncation(f"y_max must be finite, got {self.y_max}")
         if self.n_min >= self.n_max:
             raise BadTruncation(f"need n_min < n_max, got {self.n_min} >= {self.n_max}")
         if not self.y_max > TWO_PI * self.n_max + TWO_PI:
@@ -152,11 +154,17 @@ def choose_lift_target(omega: complex) -> complex:
 
     Returns ln|omega| + i*(Arg(omega) + 2*pi*k) with the smallest integer k
     making the point interior; such k always exists because for fixed real
-    part every sufficiently high point is interior.
+    part every sufficiently high point is interior.  Raises ValueError for
+    omega zero, not finite, or of a modulus beyond the largest double.
     """
     if omega == 0:
         raise ValueError("omega must be nonzero")
-    x = math.log(abs(omega))
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+    try:
+        x = math.log(abs(omega))
+    except OverflowError:
+        raise ValueError(f"|omega| exceeds the largest double, got {omega}") from None
     a = cmath.phase(omega)
     if a <= -math.pi + 1e-15:  # phase returns (-pi, pi]; normalize the seam
         a = math.pi

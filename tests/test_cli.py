@@ -248,6 +248,14 @@ class TestReach:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("omega", ["1e400,0", "nan", "1,-inf"])
+    def test_non_finite_omega_is_domain_error(self, capsys, omega):
+        code, out, err = run(capsys, "reach", f"--omega={omega}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: omega must be finite")
+        assert "Traceback" not in err
+
 
 class TestDemoExpExp:
     def test_report_lines(self, capsys):
@@ -290,6 +298,15 @@ class TestMapCommands:
         }
         assert report["interior_max_modulus"] < 1.0
         assert report["grid_injectivity_min_separation"] > 0.0
+
+    @pytest.mark.parametrize("command", ["map-report", "build-map"])
+    @pytest.mark.parametrize("roof", ["inf", "nan"])
+    def test_non_finite_roof_is_domain_error(self, capsys, command, roof):
+        code, out, err = run(capsys, command, f"--truncation=-2:2:{roof}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: BadTruncation: y_max must be finite")
+        assert "Traceback" not in err
 
     def test_bad_truncation(self, capsys):
         code, _, err = run(capsys, "map-report", "--truncation", "0:2")

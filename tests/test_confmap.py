@@ -578,6 +578,68 @@ def _reference_eval(cmap, steps, z):
     return cmap.rot * delta / (w_full - np.conj(cmap.t_final)), mixed
 
 
+def _parent_steps(ref_steps):
+    """The step table as the evaluation below reads it, (k_in^2, -k_in/b,
+    2 t_mid, s_t^2, s_t, t_mid, t_out, f_t) per node as Python numbers, from
+    _reference_steps's tuples with the construction's arithmetic."""
+    steps = []
+    for b, k_in, t_in, t_mid, c2, s_t, t_out, f_t in ref_steps:
+        kk, mk = (None, None) if k_in is None else (k_in * k_in, -k_in / b)
+        steps.append((kk, mk, 2.0 * t_mid, t_mid * t_mid + c2, s_t, t_mid, t_out, f_t))
+    return steps
+
+
+def _parent_eval(cmap, steps, z):
+    """The fused anchored loop as it stood before the step constants became
+    0-d arrays and the ufuncs locals, kept verbatim (self is cmap, the step
+    table is passed in): _eval_raw must match it byte for byte."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    w = 1j * np.sqrt((z - cmap.v1) / (z - cmap.v0))
+    w = np.where(w.imag < 0, -w, w)
+    delta = w - cmap.t_start
+    # scratch buffers; no product is written over one of its factors,
+    # which for one-point arrays would change numpy's rounding
+    u = np.empty_like(delta)
+    s_w = np.empty_like(delta)
+    prod = np.empty_like(delta)
+    for kk, mk, two_t_mid, sq, s_t, t_mid, t_out, f_t in steps:
+        if kk is not None:
+            # Moebius step: delta / (k_in^2 - (k_in/b) delta)
+            np.multiply(delta, mk, out=u)
+            u += kk
+            delta /= u
+        # slit step: with w = t_mid + delta, w^2 + c2 = s_t^2 + prod
+        np.add(delta, two_t_mid, out=u)
+        np.multiply(delta, u, out=prod)
+        np.add(prod, sq, out=s_w)
+        np.sqrt(s_w, out=s_w)
+        if (
+            np.minimum.reduce(s_w.imag) > 0.0
+            if f_t > 0
+            else np.maximum.reduce(s_w.imag) < 0.0
+        ):
+            # every point keeps the anchor's branch: only the
+            # cancellation-free form is needed, its sign f_t folded
+            # into the denominator
+            if f_t > 0:
+                s_w += s_t
+            else:
+                np.subtract(-s_t, s_w, out=s_w)
+            np.divide(prod, s_w, out=delta)
+        else:
+            f_w = np.where(_flip(s_w, delta + t_mid), -1.0, 1.0)
+            delta = np.where(
+                f_w == f_t, f_w * prod / (s_w + s_t), f_w * s_w - t_out
+            )
+    t = cmap.t_pre_close
+    w_full = t + delta
+    delta = delta / ((1.0 - w_full / cmap.zeta_close) * (1.0 - t / cmap.zeta_close))
+    w_full = cmap.t_close + delta
+    delta = -delta * (w_full + cmap.t_close)
+    w_full = cmap.t_final + delta
+    return cmap.rot * delta / (w_full - np.conj(cmap.t_final))
+
+
 class TestFusedEvaluation:
     """The fused anchored loop against the unfused reference above.
 
@@ -649,3 +711,59 @@ class TestFusedEvaluation:
         for z in [BASE] + self.interior_points(cmap.truncation, 24, seed=45):
             ref, _ = _reference_eval(cmap, steps, z)
             self.check(ref, np.asarray([psi_eval(cmap, z)]))
+
+    @staticmethod
+    def same_bits(cmap, steps, z):
+        got = cmap._eval_raw(z)
+        assert got.tobytes() == _parent_eval(cmap, _parent_steps(steps), z).tobytes()
+        return got
+
+    def test_rings_match_the_parent_loop_bitwise(self, fused_map, monkeypatch):
+        # local_model's rings, the center appended, at both rungs
+        cmap, steps = fused_map
+        trunc = cmap.truncation
+        mixed = []
+        inner = confmap._flip
+        monkeypatch.setattr(
+            confmap, "_flip", lambda s, w: mixed.append(len(s)) or inner(s, w)
+        )
+        for zeta in [BASE] + self.interior_points(trunc, 8, seed=2007):
+            d = trunc.boundary_distance(zeta)
+            for frac in confmap.RING_LADDER:
+                self.same_bits(cmap, steps, np.append(zeta + frac * d * confmap._RING_UNIT, zeta))
+        # _eval_raw took the mixed-branch step on some ring
+        assert confmap._RING_M + 1 in mixed
+
+    def test_grid_and_nodes_match_the_parent_loop_bitwise(self, fused_map):
+        cmap, steps = fused_map
+        self.same_bits(cmap, steps, _interior_grid(cmap.truncation))
+        self.same_bits(cmap, steps, cmap.nodes[2:])
+
+    def test_points_match_the_parent_loop_bitwise(self, fused_map):
+        cmap, steps = fused_map
+        for z in [BASE] + self.interior_points(cmap.truncation, 24, seed=45):
+            assert len(self.same_bits(cmap, steps, z)) == 1
+
+    def test_germs_match_the_parent_loop(self, fused_map, monkeypatch):
+        cmap, steps = fused_map
+        zetas = [BASE] + self.interior_points(cmap.truncation, 6, seed=11)
+
+        def coeffs(make):
+            # a failed self-check (the base ring on -1:3:10pi) is an answer too
+            try:
+                return make().coeffs
+            except ModelUnresolved as exc:
+                return str(exc)
+
+        def germs():
+            cmap._germs.clear()
+            out = [coeffs(lambda: cmap.local_model(zeta)) for zeta in zetas]
+            out.append(coeffs(lambda: f_germ_at_base(cmap)))
+            cmap._germs.clear()
+            return out
+
+        got = germs()
+        assert any(isinstance(c, tuple) for c in got)
+        parent = _parent_steps(steps)
+        monkeypatch.setattr(ConformalMap, "_eval_raw", lambda self, z: _parent_eval(self, parent, z))
+        assert germs() == got

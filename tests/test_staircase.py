@@ -113,6 +113,19 @@ class TestLiftTarget:
             zeta = choose_lift_target(omega)
             assert not in_interior(zeta - TWO_PI * 1j)
 
+    @pytest.mark.parametrize(
+        "omega",
+        [math.inf, -math.inf, math.nan, complex(1.0, math.nan), complex(math.inf, 1.0)],
+    )
+    def test_non_finite_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            choose_lift_target(omega)
+
+    def test_modulus_overflow_rejected(self):
+        # both parts finite, |omega| past the largest double
+        with pytest.raises(ValueError, match="largest double"):
+            choose_lift_target(complex(1.5e308, 1.5e308))
+
 
 class TestTruncation:
     def test_contains_and_reject(self):
@@ -128,6 +141,11 @@ class TestTruncation:
             Truncation(-2, 2, 5 * math.pi)
         with pytest.raises(BadTruncation):
             Truncation(2, -2, 8 * math.pi)
+
+    @pytest.mark.parametrize("y_max", [math.inf, math.nan, -math.inf])
+    def test_roof_must_be_finite(self, y_max):
+        with pytest.raises(BadTruncation, match="y_max"):
+            Truncation(-2, 2, y_max)
 
     def test_vertices_walk_the_staircase(self):
         t = Truncation(-1, 1, 5 * math.pi)
