@@ -129,7 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, order=False, out=False, path=False, omega=False, mn=False, trunc=False):
+    def command(name, handler, help, *, order=False, out=False, path=False,
+                omega=False, mn=False, trunc=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if order:
             p.add_argument("--order", type=int, default=DEFAULT_ORDER)
         if out:
@@ -144,42 +147,33 @@ def _build_parser() -> argparse.ArgumentParser:
         if trunc:
             p.add_argument("--truncation", default="-2:2:8pi", metavar="MIN:MAX:YMAX")
             p.add_argument("--resolution", type=int, default=256)
+        return p
 
-    p = sub.add_parser("wind", help="winding number of a path (prints W=<k>)")
-    common(p, path=True)
-
-    p = sub.add_parser("lift", help="log lift of a path; CSV of lift points")
-    common(p, out=True, path=True)
+    command("wind", _cmd_wind, "winding number of a path (prints W=<k>)", path=True)
+    p = command("lift", _cmd_lift, "log lift of a path; CSV of lift points", out=True, path=True)
     p.add_argument("--branch-im", type=float, default=0.0)
-
-    p = sub.add_parser("continue", help="continue a germ along a path; chain CSV")
-    common(p, order=True, out=True, path=True)
+    p = command(
+        "continue", _cmd_continue, "continue a germ along a path; chain CSV",
+        order=True, out=True, path=True,
+    )
     p.add_argument("--germ", default="log", metavar="log[:BRANCH_IM]|h")
-
-    p = sub.add_parser("oracle", help="exact continuability verdict for a path")
-    common(p, path=True)
+    p = command("oracle", _cmd_oracle, "exact continuability verdict for a path", path=True)
     p.add_argument("--geom-tol", type=float, default=GEOM_TOL)
-
-    p = sub.add_parser("classify", help="slit-target verdict for (omega, M, N)")
-    common(p, out=True, omega=True, mn=True)
-
-    p = sub.add_parser("table", help="theorem truth table over a slit grid")
-    common(p, out=True)
+    command(
+        "classify", _cmd_classify, "slit-target verdict for (omega, M, N)",
+        out=True, omega=True, mn=True,
+    )
+    p = command("table", _cmd_table, "theorem truth table over a slit grid", out=True)
     p.add_argument("--m-range", default="-2:2", metavar="LO:HI")
     p.add_argument("--n-offsets", default="0,1,2", metavar="D1,D2,...")
     p.add_argument("--samples", type=int, default=8)
-
-    p = sub.add_parser("reach", help="construct a continuable path to omega")
-    common(p, out=True, omega=True)
-
-    p = sub.add_parser("demo-expexp", help="two-branch log-log continuation demo")
-    common(p, order=True)
-
-    p = sub.add_parser("build-map", help="build the disc map; boundary node CSV")
-    common(p, out=True, trunc=True)
-
-    p = sub.add_parser("map-report", help="map quality report JSON")
-    common(p, out=True, trunc=True)
+    command("reach", _cmd_reach, "construct a continuable path to omega", out=True, omega=True)
+    command("demo-expexp", _cmd_demo, "two-branch log-log continuation demo", order=True)
+    command(
+        "build-map", _cmd_build_map, "build the disc map; boundary node CSV",
+        out=True, trunc=True,
+    )
+    command("map-report", _cmd_map_report, "map quality report JSON", out=True, trunc=True)
     return top
 
 
@@ -303,20 +297,6 @@ def _cmd_map_report(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "wind": _cmd_wind,
-    "lift": _cmd_lift,
-    "continue": _cmd_continue,
-    "oracle": _cmd_oracle,
-    "classify": _cmd_classify,
-    "table": _cmd_table,
-    "reach": _cmd_reach,
-    "demo-expexp": _cmd_demo,
-    "build-map": _cmd_build_map,
-    "map-report": _cmd_map_report,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -324,7 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except _FieldError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _USAGE_ERROR

@@ -118,21 +118,18 @@ class ConformalMap:
         self.nodes = nodes
         self.v0, self.v1 = nodes[0], nodes[1]
 
-        w = 1j * np.sqrt((nodes[2:] - self.v1) / (nodes[2:] - self.v0))
-        w = np.where(w.imag < 0, -w, w)
-        t = 1j * complex(np.sqrt(complex((BASE_LIFT - self.v1) / (BASE_LIFT - self.v0))))
-        if t.imag < 0:
-            t = -t
-        # per absorbed node, only what _eval_raw reads:
-        # (k_in^2, -k_in/b, 2 t_mid, s_t^2, s_t, -s_t, f_t > 0, t_mid, t_out,
-        # f_t), with k_in = 1 - t_in/b (the first two are None when b is
-        # infinite) and s_t the unflipped square root at the anchor, s_t^2 =
-        # t_mid^2 + c2 its radicand.  The first six are 0-d arrays, which a
-        # ufunc takes in about half the time of a Python complex; the last
-        # three serve only the rare mixed-branch step.
+        w = self._enter(nodes[2:])
+        t = complex(self._enter(BASE_LIFT))
+        # per absorbed node, only what _eval_raw reads: (k_in^2, -k_in/b,
+        # 2 t_mid, s_t^2, s_t, -s_t, f_t > 0), with k_in = 1 - t_in/b (the
+        # first two are None when b is infinite), s_t the unflipped square
+        # root at the anchor, s_t^2 = t_mid^2 + c2 its radicand, and f_t the
+        # sign that carries it into the upper half-plane.  All but the last
+        # are 0-d arrays, which a ufunc takes in about half the time of a
+        # Python complex.
         self.t_start = t
         steps = []
-        v0_img = None  # image of v0 (starts at infinity under the initial map)
+        v0_img = None  # image of v0 (infinity until the first finite b)
         for k in range(len(w)):
             a = complex(w[k])
             if not a.imag > 0:
@@ -148,27 +145,20 @@ class ConformalMap:
                 k_in = 1.0 - t / b
                 t_mid = t / k_in
                 kk, mk = np.array(k_in * k_in), np.array(-k_in / b)
+                w = w / (1.0 - w / b)
+                # the Moebius step sends infinity to -b
+                v0_img = -b if v0_img is None else v0_img / (1.0 - v0_img / b)
             sq = t_mid * t_mid + c2
             s_t = complex(np.sqrt(complex(sq)))
-            f_t = -1.0 if _flip(s_t, t_mid) else 1.0
-            t_out = f_t * s_t
+            pos = not _flip(s_t, t_mid)
             steps.append((
                 kk, mk, np.array(2.0 * t_mid), np.array(sq), np.array(s_t),
-                np.array(-s_t), f_t > 0, t_mid, t_out, f_t,
+                np.array(-s_t), pos,
             ))
-            t = t_out
-            if not math.isinf(b):
-                w = w / (1.0 - w / b)
+            t = s_t if pos else -s_t
             s = np.sqrt(w * w + c2)
             w = np.where(_flip(s, w), -s, s)
-            if v0_img is None:
-                if not math.isinf(b):
-                    # infinity lands at -b under the Moebius step
-                    s0 = complex(np.sqrt(complex(b * b + c2)))
-                    v0_img = -s0 if _flip(s0, complex(-b)) else s0
-            else:
-                if not math.isinf(b):
-                    v0_img = v0_img / (1.0 - v0_img / b)
+            if v0_img is not None:
                 s0 = complex(np.sqrt(complex(v0_img * v0_img + c2)))
                 v0_img = -s0 if _flip(s0, v0_img) else s0
         self.steps = steps
@@ -186,12 +176,16 @@ class ConformalMap:
         self.rot = _SCALE * abs(a1) / a1
         self._germs = OrderedDict()  # see _f_germ
 
+    def _enter(self, z):
+        """The entry map i*sqrt((z - v1)/(z - v0)), flipped into the upper
+        half-plane: it opens the polygon at its first edge v0-v1."""
+        w = 1j * np.sqrt((z - self.v1) / (z - self.v0))
+        return np.where(w.imag < 0, -w, w)
+
     def _eval_raw(self, z):
         """Anchored evaluation; no domain check.  Accepts scalars or arrays."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = 1j * np.sqrt((z - self.v1) / (z - self.v0))
-        w = np.where(w.imag < 0, -w, w)
-        delta = w - self.t_start
+        delta = self._enter(z) - self.t_start
         # scratch buffers; no product is written over one of its factors,
         # which for one-point arrays would change numpy's rounding.  The
         # loop makes about 2,300 ufunc calls on arrays of 1 to 257 points,
@@ -206,7 +200,7 @@ class ConformalMap:
         add, subtract, multiply, divide, sqrt = (
             np.add, np.subtract, np.multiply, np.divide, np.sqrt
         )
-        for kk, mk, two_t_mid, sq, s_t, neg_s_t, pos, t_mid, t_out, f_t in self.steps:
+        for kk, mk, two_t_mid, sq, s_t, neg_s_t, pos in self.steps:
             if kk is not None:
                 # Moebius step: delta / (k_in^2 - (k_in/b) delta)
                 multiply(delta, mk, u)
@@ -228,9 +222,12 @@ class ConformalMap:
                     subtract(neg_s_t, s_w, s_w)
                 divide(prod, s_w, delta)
             else:
-                f_w = np.where(_flip(s_w, delta + t_mid), -1.0, 1.0)
+                # t_mid = two_t_mid / 2 and t_out = f_t s_t, both exact
+                f_w = np.where(_flip(s_w, delta + 0.5 * two_t_mid), -1.0, 1.0)
                 delta = np.where(
-                    f_w == f_t, f_w * prod / (s_w + s_t), f_w * s_w - t_out
+                    (f_w > 0) == pos,
+                    f_w * prod / (s_w + s_t),
+                    f_w * s_w - (s_t if pos else neg_s_t),
                 )
         t = self.t_pre_close
         w_full = t + delta
