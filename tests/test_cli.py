@@ -295,9 +295,11 @@ class TestMapCommands:
             "boundary_min_modulus",
             "boundary_mean_modulus",
             "grid_injectivity_min_separation",
+            "passed",
         }
         assert report["interior_max_modulus"] < 1.0
         assert report["grid_injectivity_min_separation"] > 0.0
+        assert report["passed"] is True
 
     @pytest.mark.parametrize("command", ["map-report", "build-map"])
     @pytest.mark.parametrize("roof", ["inf", "nan"])

@@ -1,7 +1,13 @@
 import cmath
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from logstair import (
     reach_path,
     validate_path,
 )
+import logstair
 from logstair import choose_lift_target, confmap, monodromy
 from logstair.confmap import _flip, _interior_grid
 from logstair.staircase import BASE_LIFT
@@ -120,6 +127,24 @@ class TestQualityReport:
     def test_resolution_improves_boundary(self, trunc, report):
         coarse = quality_report(build_map(trunc, 128))
         assert report["boundary_mean_modulus"] >= coarse["boundary_mean_modulus"] - 1e-9
+
+    def test_default_map_passes(self, report):
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize(
+        "spec, miss",
+        [
+            # grid images up to 5e-3 outside the disc
+            ((-1, 4, 12 * math.pi), lambda r: r["interior_max_modulus"] > 1.0),
+            # two grid points map to the same double
+            ((-3, 1, 8 * math.pi), lambda r: r["grid_injectivity_min_separation"] == 0.0),
+        ],
+        ids=["-1:4:12pi", "-3:1:8pi"],
+    )
+    def test_unfit_maps_fail(self, spec, miss):
+        report = quality_report(build_map(Truncation(*spec), 256))
+        assert miss(report)
+        assert report["passed"] is False
 
 
 class TestLocalModel:
@@ -314,6 +339,33 @@ class TestRefreshPath:
         chain = continue_along(fgerm, reach_path(2j), refresh=FRefresh(cmap))
         assert chain.completed and len(chain.elements) > 10
         assert evals == []
+
+    def test_single_blas_thread_repeats_the_chain(self, cmap, fgerm):
+        # compose's Horner products go through OpenBLAS, whose thread count
+        # is the environment's to set; one thread gives the same chain
+        script = textwrap.dedent(
+            """\
+            import json, math
+            from logstair import (
+                FRefresh, Truncation, build_map, continue_along, f_germ_at_base, reach_path,
+            )
+            cmap = build_map(Truncation(-2, 2, 8 * math.pi), 256)
+            chain = continue_along(f_germ_at_base(cmap), reach_path(2j), refresh=FRefresh(cmap))
+            v = chain.final.coeffs[0]
+            print(json.dumps([chain.status, len(chain.elements) - 1, v.real, v.imag]))
+            """
+        )
+        src = str(Path(logstair.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        status, steps, re, im = json.loads(done.stdout)
+        chain = continue_along(fgerm, reach_path(2j), refresh=FRefresh(cmap))
+        assert (status, steps) == (chain.status, len(chain.elements) - 1)
+        assert abs(complex(re, im) - chain.final.coeffs[0]) <= 1e-12
 
     def test_overflowing_chain_warns_nothing(self, cmap, fgerm):
         # the route to 0.2 ends in a composition that overflows the double

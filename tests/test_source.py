@@ -82,3 +82,30 @@ def test_every_public_name_has_a_reader():
         and not any(name in set(_reads(tree, skip=name)) for tree in trees)
     }
     assert unread == EXPORTED_FOR_TESTS
+
+
+def _module_constants(tree):
+    """Upper-case names assigned at the top level of a module."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and n.id.lstrip("_").isupper():
+                    yield n.id
+
+
+def test_every_module_constant_is_read():
+    trees = {s.name: ast.parse(s.read_text()) for s in SOURCES}
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unread = {
+        (file, name)
+        for file, tree in trees.items()
+        for name in _module_constants(tree)
+        if name not in read
+    }
+    assert unread == set()
