@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import logstair
 from logstair import (
     BadTruncation,
     CompositionOutOfRange,
@@ -34,7 +35,6 @@ from logstair import (
     reach_path,
     validate_path,
 )
-import logstair
 from logstair import choose_lift_target, confmap, monodromy
 from logstair.confmap import _flip, _interior_grid
 from logstair.staircase import BASE_LIFT
