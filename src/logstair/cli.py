@@ -287,6 +287,8 @@ def _cmd_build_map(args) -> int:
     if args.out:
         sys.stdout.write(f"nodes={len(cmap.nodes)}\n")
         sys.stdout.write(f"base_image={_fmt(abs(psi_eval(cmap, BASE_LIFT)))}\n")
+    if not quality_report(cmap)["passed"]:
+        sys.stderr.write("warning: the map fails its quality report; see map-report\n")
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -330,16 +331,18 @@ def f_germ_at_base(cmap: ConformalMap) -> Germ:
     return cmap._f_germ(BASE_POINT, BASE_LIFT)
 
 
+@dataclass(frozen=True)
 class FRefresh:
     """Rebuilder of the h(psi(log z)) germ for the continuation engine:
     reassembles the composition at each new center on the log branch given
-    by the path's lift there.  Holds no state, so one object serves any
-    number of runs; repeated (center, lift) pairs are served from the map's
-    memo, across all hooks on that map.  The germ being continued, prev, is
-    not read: the lift alone fixes the branch."""
+    by the path's lift there.  Holds no state but its map, and compares
+    equal by it, so one object serves any number of runs and the engine
+    keys the steps it keeps on a route spine by the map; repeated (center,
+    lift) pairs are served from the map's memo, across all hooks on that
+    map.  The germ being continued, prev, is not read: the lift alone fixes
+    the branch."""
 
-    def __init__(self, cmap: ConformalMap):
-        self.cmap = cmap
+    cmap: ConformalMap
 
     def __call__(self, center: complex, lift: complex, prev: Germ) -> Germ:
         return self.cmap._f_germ(center, lift)

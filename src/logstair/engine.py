@@ -9,6 +9,7 @@ being validated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,15 +63,17 @@ class CrosscheckReport:
 def _step(path: PathPolyline, i: int, center: complex, cap: float):
     """One engine step along `path` from a point on segment i: the segment j
     of the furthest point up to which the path stays within distance cap of
-    center, with that point's path parameter t, the point z and the log lift
-    there, as (j, t, z, lift).  The path's end is (len(points) - 1, 1.0,
-    path.end, the last vertex's lift).
+    center, with that point's arc length s from the path's start, the point
+    z and the log lift there, as (j, s, z, lift).  The path's end is
+    (len(points) - 1, total length, path.end, the last vertex's lift).
 
     The distance to center is convex along each chord, so the path stays
     inside while its vertices do.  On the first segment (a, b) whose far
     vertex lies outside, the exit is the larger root v of
-    |a + v(b - a) - center| = cap, and z and the lift are computed from a and
-    b alone: paths that share a run of segments step through the same bits.
+    |a + v(b - a) - center| = cap, and s, z and the lift are computed from
+    the path up to b alone: paths that share a run of segments step through
+    the same bits, and dividing s by each path's own total length gives its
+    parameter t.
     """
     cap = cap * (1.0 - 1e-12)
     pts, cum, lifted = path.points, path._cumlen, path._lift
@@ -90,9 +93,24 @@ def _step(path: PathPolyline, i: int, center: complex, cap: float):
         # the cancellation-free form of the larger root for either sign of qb
         v = min(1.0, (root - qb) / qa if qb <= 0.0 else -qc / (qb + root))
         z = a + v * d
-        t = (cum[j] + v * (cum[j + 1] - cum[j])) / cum[-1]
-        return j, t, z, lift_point(a, lifted[j].imag, z)
-    return len(pts) - 1, 1.0, path.end, lifted[-1]
+        s = cum[j] + v * (cum[j + 1] - cum[j])
+        return j, s, z, lift_point(a, lifted[j].imag, z)
+    return len(pts) - 1, cum[-1], path.end, lifted[-1]
+
+
+class _SpineSteps:
+    """The chain the engine has stepped along a route spine's vertices
+    (monodromy._Spine), for the last (start germ, hook) pair that stepped
+    there, as key: for each step (j, s, center, lift, germ), _step's result
+    and the refreshed germ.  A step with j + 1 <= n - 1 reads no vertex past
+    the spine's first n, so every route that shares those replays it.
+    Appends are made under lock, and only by a chain whose replayed steps
+    are all the store holds, so the store is one chain's prefix."""
+
+    def __init__(self):
+        self.key = None
+        self.steps = []
+        self.lock = threading.Lock()
 
 
 def continue_along(
@@ -119,11 +137,22 @@ def continue_along(
     dropped below RADIUS_FLOOR, MAX_STEPS ran out or the hook raised a
     LogstairError (ModelUnresolved, for one); t_fail is the furthest
     parameter reached.
+
+    A route from monodromy carries its spine's store of steps (_SpineSteps)
+    and how many of its leading vertices are the spine's, n.  A chain keyed
+    like the store, by (start, refresh) with the default hook as None,
+    takes from it each step that reads no vertex past the first n (j + 1 <=
+    n - 1) instead of stepping and refreshing; t is the step's arc length
+    over this path's own length, the division a fresh step makes, and every
+    check of the loop runs on it.  Past them it steps and refreshes, and
+    keeps in the store the steps that stay on the spine, so each spine is
+    stepped once for each (start, refresh) pair in turn.
     """
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
             f"germ center {start.center} is not the path start {path.start}"
         )
+    key = (start, refresh)
     order = start.order
     if (
         refresh is None
@@ -134,6 +163,13 @@ def continue_along(
         refresh = lambda center, lift, prev: log_germ(
             center, prev.eval(center).imag, order
         )
+    store, on_spine = path._steps, path._shared - 1  # j < on_spine: j + 1 <= n - 1
+    kept = ()
+    if store is not None:
+        with store.lock:
+            if store.key == key:
+                kept = store.steps
+    last, total = len(path.points) - 1, path.total_length
     elements = [start]
     breaks = [0.0]
     g = start
@@ -151,15 +187,28 @@ def continue_along(
             return ContinuationChain(tuple(elements), tuple(breaks), "completed")
         if len(breaks) > MAX_STEPS:
             return _failed(f"exceeded {MAX_STEPS} steps")
-        j, t_next, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
+        k = len(breaks) - 1
+        if k < len(kept) and kept[k][0] < on_spine:
+            j, s, center, lift, g_next = kept[k]
+        else:
+            j, s, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
+            g_next = None
+        t_next = s / total if j < last else 1.0
         if not t_next > t:
             return _failed("no forward progress along the path")
-        if refresh is None:
-            raise NoRefresh("only a log germ has a default refresh; pass a hook")
-        try:
-            g_next = refresh(center, lift, g)
-        except LogstairError as exc:
-            return _failed(f"refresh failed: {exc}")
+        if g_next is None:
+            if refresh is None:
+                raise NoRefresh("only a log germ has a default refresh; pass a hook")
+            try:
+                g_next = refresh(center, lift, g)
+            except LogstairError as exc:
+                return _failed(f"refresh failed: {exc}")
+            if j < on_spine:
+                with store.lock:
+                    if k == 0 and store.key != key:
+                        store.key, store.steps = key, []
+                    if store.key == key and len(store.steps) == k:
+                        store.steps.append((j, s, center, lift, g_next))
         elements.append(g_next)
         breaks.append(t_next)
         g = g_next

@@ -14,7 +14,8 @@ a spine (_Spine) holds the chords, lengths and lifts of the fixed part of
 the routes, and a route is its spine's prefix plus its own last legs, the
 only ones cut, checked and lifted afresh.  Every route is certified by the
 exact oracle on the path the engine walks, which samples only the segments
-past those its spine has certified.
+past those its spine has certified, and the engine resumes the chain it
+has stepped along the spine, stepping and refreshing only past it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ContinuationChain, continuable_exact, continue_along
+from .engine import ContinuationChain, _SpineSteps, continuable_exact, continue_along
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, _extend, validate_path
 from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
@@ -170,8 +171,10 @@ class _Spine:
     legs, then those of the open-ended leg from its last waypoint, cut as
     _cut cuts a leg and grown on demand.  It keeps the chord vertices with
     their cumulative lengths and lifts, marks[k], the number of vertices up
-    to the open leg's k-th multiple of EXP_STEP, and certified, how many
-    leading segments the exact oracle has found interior at GEOM_TOL."""
+    to the open leg's k-th multiple of EXP_STEP, certified, how many
+    leading segments the exact oracle has found interior at GEOM_TOL, and
+    steps, the chain the engine has stepped along its vertices for the last
+    (start germ, hook) pair that ran there (engine._SpineSteps)."""
 
     def __init__(self, waypoints: tuple, unit: complex):
         self.start, self.unit = waypoints[-1], unit
@@ -185,6 +188,7 @@ class _Spine:
         # certified them, as a column's trunk does with the column before
         shared = (_common(self.points, s.points[: s.certified + 1]) for s in _spines.values())
         self.certified = max(shared, default=1) - 1
+        self.steps = _SpineSteps()
 
     def prefix(self, length: float) -> int:
         """The number of vertices an open leg of `length` takes from the
@@ -207,7 +211,9 @@ def _common(a: list, b: list) -> int:
 
 # Spines by their waypoints and direction, least recently used dropped first
 # while they hold more than SPINE_VERTICES chord vertices (about 120 bytes
-# each); the benchmark's sweep routes through 7 spines of 762 vertices.
+# each) and the engine steps kept along them; the benchmark's sweep routes
+# through 7 spines of 762 vertices, which keep 378 steps whose germs the
+# map's memo holds too.
 # Threads that route at once take turns to find and grow a spine.
 SPINE_VERTICES = 16384
 _spines = OrderedDict()
@@ -216,8 +222,9 @@ _spines_lock = threading.Lock()
 
 def _route(target: complex):
     """(path, spine, n): the exponential of the route to `target`, whose
-    first n vertices are its spine's, with their lengths, lifts and
-    certified segments; only the rest is cut, checked and lifted afresh."""
+    first n vertices are its spine's, with their lengths, lifts, certified
+    segments and engine steps; only the rest is cut, checked and lifted
+    afresh."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -231,7 +238,9 @@ def _route(target: complex):
     out = pts[-1:]
     _cut(out, tail)
     _extend(pts, cum, lifted, out[1:])
-    path = PathPolyline(tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1))
+    path = PathPolyline(
+        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1), spine.steps, n
+    )
     return path, spine, n
 
 

@@ -286,6 +286,18 @@ class TestMapCommands:
         assert all(-2 - 1e-9 <= p.real <= 3 + 1e-9 for p in points)
         assert all(-4 * math.pi - 1e-9 <= p.imag <= 8 * math.pi + 1e-9 for p in points)
 
+    def test_build_map_warns_about_an_unfit_map(self, capsys):
+        # two grid points of this map share one image (separation 0)
+        code, out, err = run(capsys, "build-map", "--truncation=-3:1:8pi")
+        assert code == 0
+        assert out.startswith("node_re,node_im\n")
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert run(capsys, "map-report", "--truncation=-3:1:8pi")[1].count('"passed": false') == 1
+
+    def test_build_map_is_quiet_on_the_default_map(self, capsys):
+        code, out, err = run(capsys, "build-map")
+        assert code == 0 and out.startswith("node_re,node_im\n") and err == ""
+
     def test_map_report_json(self, capsys):
         code, out, _ = run(capsys, "map-report", "--resolution", "64")
         assert code == 0

@@ -520,11 +520,15 @@ def test_step_solves_the_exit_on_one_segment(vertices, caps):
     for cap in caps:
         if t >= 1.0:
             break
-        j, t_next, z, lift = engine._step(path, i, center, cap)
+        j, s, z, lift = engine._step(path, i, center, cap)
         limit = cap * (1.0 - 1e-12)
         if j == last:
-            assert (t_next, z, lift) == (1.0, path.end, path._lift[-1])
+            assert (s, z, lift) == (path.total_length, path.end, path._lift[-1])
+            t_next = 1.0
         else:
+            # the arc length of z, so its parameter is s over the length
+            assert abs(s - path._cumlen[j] - abs(z - path.points[j])) <= 1e-12 * max(1.0, s)
+            t_next = s / path.total_length
             assert abs(abs(z - center) - limit) <= 1e-12 * limit
             assert abs(lift - lift_at(path, t_next)) < 1e-12
         assert all(abs(p - center) <= limit for p in path.points[i + 1 : j + 1])

@@ -14,14 +14,21 @@ from hypothesis import strategies as st
 import logstair.engine as engine
 import logstair.monodromy as monodromy
 from logstair import (
+    FRefresh,
     NotOnSlit,
     OracleVerdict,
     RoutingFailure,
+    Truncation,
     boundary_distance,
+    build_map,
     choose_lift_target,
     classify,
     continuable_exact,
+    continue_along,
+    crosscheck,
     expexp_demo,
+    f_germ_at_base,
+    log_germ,
     overlap_disagreement,
     reach_path,
     truth_table,
@@ -444,6 +451,122 @@ class TestSpines:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+
+@pytest.fixture(scope="module")
+def default_cmap():
+    return build_map(Truncation(-2, 2, 8 * math.pi), 256)
+
+
+def _chain_bits(chain) -> str:
+    """Every field of a chain, each double by its repr, so -0.0 != 0.0."""
+    return repr(
+        (
+            [(g.center, g.coeffs, g.radius_est) for g in chain.elements],
+            chain.breakpoints,
+            chain.status,
+            chain.t_fail,
+            chain.reason,
+        )
+    )
+
+
+class TestSpineChains:
+    """A route resumes the chain its spine keeps: every chain is the one a
+    path with no spine gets, for each (start germ, hook) pair in turn, and
+    only the steps past the spine are stepped and refreshed."""
+
+    # up column 0's corridor: one spine, each route sharing more of it
+    CORRIDOR = tuple(cmath.exp(complex(0.8, y)) for y in (3.0, 3.5, 4.0, 5.5))
+
+    @pytest.mark.parametrize("targets", [ROADMAP12, CORRIDOR], ids=["roadmap12", "corridor"])
+    def test_routes_resume_the_spineless_chain(self, cold_spines, default_cmap, targets):
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        for start, refresh in ((f, hook), (log_germ(0.5, 0.0), None)):
+            for order in (targets, targets[::-1]):
+                cold_spines._spines.clear()
+                for omega in order:
+                    path = reach_path(omega)
+                    chain = continue_along(start, path, refresh)
+                    plain = continue_along(start, validate_path(path.points), refresh)
+                    assert _chain_bits(chain) == _chain_bits(plain)
+        # the spines kept steps, which the later routes resumed
+        assert any(s.steps.steps for s in cold_spines._spines.values())
+
+    def test_two_maps_alternate_on_one_spine(self, cold_spines, default_cmap):
+        other = build_map(Truncation(-1, 2, 8 * math.pi), 256)
+        maps = [(f_germ_at_base(m), FRefresh(m)) for m in (default_cmap, other)]
+        spines = set()
+        for omega in self.CORRIDOR:
+            path = reach_path(omega)
+            spines.add(id(path._steps))
+            plain = validate_path(path.points)
+            chains = []
+            for f, hook in maps:
+                chain = crosscheck(path, f, hook).chain
+                assert _chain_bits(chain) == _chain_bits(continue_along(f, plain, hook))
+                chains.append(chain)
+            assert chains[0].elements[1:] != chains[1].elements[1:]
+        assert len(spines) == 1
+
+    def test_a_second_route_steps_only_past_its_spine(self, cold_spines, default_cmap, monkeypatch):
+        # up column 0's corridor, as test_a_second_route_samples_only_its_last_legs:
+        # the higher target steps the spine, the lower one resumes it
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        stepped, refreshed = [], []
+        inner = engine._step
+
+        def counted_step(path, i, center, cap):
+            stepped.append(inner(path, i, center, cap))
+            return stepped[-1]
+
+        def counted_hook(center, lift, prev):
+            refreshed.append((center, lift))
+            return hook(center, lift, prev)
+
+        monkeypatch.setattr(engine, "_step", counted_step)
+        high = reach_path(cmath.exp(complex(0.3, 5.5)))
+        first = continue_along(f, high, counted_hook)
+        assert len(stepped) == len(refreshed) == len(first.elements) - 1
+        low = reach_path(cmath.exp(complex(0.8, 3.0)))
+        stepped.clear()
+        refreshed.clear()
+        want = continue_along(f, validate_path(low.points), counted_hook)
+        own = [k for k, step in enumerate(stepped) if step[0] + 1 > low._shared - 1]
+        want_stepped, want_refreshed = [stepped[k] for k in own], [refreshed[k] for k in own]
+        stepped.clear()
+        refreshed.clear()
+        chain = continue_along(f, low, counted_hook)
+        assert _chain_bits(chain) == _chain_bits(want)
+        assert stepped == want_stepped and refreshed == want_refreshed
+        assert 0 < len(stepped) < (len(chain.elements) - 1) / 4
+
+    def test_threads_resume_the_same_chains(self, cold_spines, default_cmap):
+        # eight threads crosscheck the pinned routes at once from cold
+        # spines, switching often, and each gets a lone caller's chains
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        paths = [_pinned_path(q) for q in PINNED_ROUTES]
+        want = [_chain_bits(crosscheck(p, f, hook).chain) for p in paths]
+        cold_spines._spines.clear()
+        paths = [_pinned_path(q) for q in PINNED_ROUTES]
+        got = []
+
+        def work(shift):
+            chains = [_chain_bits(crosscheck(p, f, hook).chain) for p in paths[shift:] + paths[:shift]]
+            got.append(chains[-shift:] + chains[:-shift] if shift else chains)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
