@@ -23,8 +23,6 @@ measurably moving anything else.
 from __future__ import annotations
 
 import math
-import struct
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,6 @@ import numpy as np
 from .errors import (
     BadTruncation,
     DegenerateBoundary,
-    LogstairError,
     ModelUnresolved,
     OutsideDomain,
 )
@@ -41,14 +38,6 @@ from .staircase import BASE_LIFT, BASE_POINT, TWO_PI, Truncation
 
 _SCALE = 1.0 - 1e-7
 MIN_RESOLUTION = 64
-
-# Assembled h(psi(log z)) germs a map keeps, least recently used dropped
-# first. Routes from the base point form one tree, so chains to different
-# targets refresh at the same (center, lift) pairs: over 20 sweep targets
-# 83-84% of the refreshes repeat an earlier pair, and 96-97% over the next
-# 20 on the same map. A full memo holds about 1.1 MB (384 germs of order 64,
-# about 3 kB each, by tracemalloc); 512 entries gave no more throughput.
-MEMO_CAPACITY = 384
 
 # Ring radii of the local model, as fractions of the distance to the
 # truncation boundary, tried in turn.  The radius that passes sets the germ's
@@ -175,7 +164,6 @@ class ConformalMap:
         ring = self._eval_raw(BASE_LIFT + r * np.exp(1j * th))
         a1 = np.fft.fft(ring)[1] / 64 / r
         self.rot = _SCALE * abs(a1) / a1
-        self._germs = OrderedDict()  # see _f_germ
 
     def _enter(self, z):
         """The entry map i*sqrt((z - v1)/(z - v0)), flipped into the upper
@@ -279,33 +267,10 @@ class ConformalMap:
     def _f_germ(self, center: complex, lift: complex) -> Germ:
         """Germ at center of h(psi(log z)) on the log branch whose value at
         center is lift: h-germ composed with (local map model at lift
-        composed with the log germ), at DEFAULT_ORDER.
-
-        The germ is a pure function of its arguments, so the map keeps the
-        last MEMO_CAPACITY results, keyed by the arguments' bits (0.0 and
-        -0.0 compare equal but can reach different branches downstream). A
-        hit returns the Germ first assembled, which is immutable. A failed
-        assembly is stored as its error's type and args, not the exception,
-        whose traceback would keep the frames alive, and a hit raises a fresh
-        error with the same message.
-        """
-        key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
-        entry = self._germs.get(key)
-        if entry is not None:
-            self._germs.move_to_end(key)
-        else:
-            try:
-                mid = compose_log(self.local_model(lift), center)
-                entry = compose(h_germ(mid.coeffs[0]), mid)
-            except LogstairError as exc:
-                entry = (type(exc), exc.args)
-            self._germs[key] = entry
-            if len(self._germs) > MEMO_CAPACITY:
-                self._germs.popitem(last=False)
-        if isinstance(entry, Germ):
-            return entry
-        error, args = entry
-        raise error(*args)
+        composed with the log germ), at DEFAULT_ORDER.  The map keeps no
+        germ: a route's steps are kept by its spine (engine._SpineSteps)."""
+        mid = compose_log(self.local_model(lift), center)
+        return compose(h_germ(mid.coeffs[0]), mid)
 
 
 def build_map(truncation, resolution: int) -> ConformalMap:
@@ -326,7 +291,8 @@ def f_germ_at_base(cmap: ConformalMap) -> Germ:
     """Germ at z = 0.5 of h(psi(log z)), log taken with branch value ln 0.5.
 
     The anchored normalization makes the inner value at 0.5 equal zero to
-    machine precision, so the constant term is h(0) ~ 0.
+    machine precision, so the constant term is h(0) ~ 0.  Each call
+    assembles the germ afresh (about 5 ms).
     """
     return cmap._f_germ(BASE_POINT, BASE_LIFT)
 
@@ -337,10 +303,9 @@ class FRefresh:
     reassembles the composition at each new center on the log branch given
     by the path's lift there.  Holds no state but its map, and compares
     equal by it, so one object serves any number of runs and the engine
-    keys the steps it keeps on a route spine by the map; repeated (center,
-    lift) pairs are served from the map's memo, across all hooks on that
-    map.  The germ being continued, prev, is not read: the lift alone fixes
-    the branch."""
+    keys the steps it keeps on route spines by the map: a step a spine
+    holds is not refreshed again, by any hook on that map.  The germ being
+    continued, prev, is not read: the lift alone fixes the branch."""
 
     cmap: ConformalMap
 

@@ -99,18 +99,33 @@ def _step(path: PathPolyline, i: int, center: complex, cap: float):
 
 
 class _SpineSteps:
-    """The chain the engine has stepped along a route spine's vertices
-    (monodromy._Spine), for the last (start germ, hook) pair that stepped
-    there, as key: for each step (j, s, center, lift, germ), _step's result
-    and the refreshed germ.  A step with j + 1 <= n - 1 reads no vertex past
-    the spine's first n, so every route that shares those replays it.
-    Appends are made under lock, and only by a chain whose replayed steps
-    are all the store holds, so the store is one chain's prefix."""
+    """The only store of refreshed germs: the chain the engine has stepped
+    along a route spine's vertices, points (which only grow by append), for
+    the last (start germ, hook) pair that stepped there, as key.  Each step
+    (j, s, center, lift, germ) is _step's result and the refreshed germ, or
+    the reason a refresh failed, which ends the chain.  A step with j + 1 <=
+    n - 1 reads no vertex past the spine's first n, so every path that
+    shares those replays it.  Appends are made under lock, and only by a
+    chain whose steps so far are all the store holds."""
 
-    def __init__(self):
+    def __init__(self, points: list):
+        self.points = points
         self.key = None
         self.steps = []
         self.lock = threading.Lock()
+
+
+def _handed_over(stores, key, k: int, points: tuple):
+    """Step k of the chain keyed key from the first store in stores that
+    holds it on a prefix of points: the store's vertices up to the step's
+    far one, j + 1, are points' (None if no store does).  Each store's lock
+    is held alone, and its vertices, which only grow, are read without."""
+    for other in stores:
+        with other.lock:
+            step = other.steps[k] if other.key == key and k < len(other.steps) else None
+        if step is not None and list(points[: step[0] + 2]) == other.points[: step[0] + 2]:
+            return step
+    return None
 
 
 def continue_along(
@@ -138,15 +153,16 @@ def continue_along(
     LogstairError (ModelUnresolved, for one); t_fail is the furthest
     parameter reached.
 
-    A route from monodromy carries its spine's store of steps (_SpineSteps)
-    and how many of its leading vertices are the spine's, n.  A chain keyed
-    like the store, by (start, refresh) with the default hook as None,
-    takes from it each step that reads no vertex past the first n (j + 1 <=
-    n - 1) instead of stepping and refreshing; t is the step's arc length
-    over this path's own length, the division a fresh step makes, and every
-    check of the loop runs on it.  Past them it steps and refreshes, and
-    keeps in the store the steps that stay on the spine, so each spine is
-    stepped once for each (start, refresh) pair in turn.
+    A route from monodromy carries the kept spines' step stores
+    (_SpineSteps), its own spine's first, and how many of its leading
+    vertices are its spine's, n.  A chain keyed like a store, by (start,
+    refresh) with the default hook as None, takes each step that reads no
+    vertex past the first n (j + 1 <= n - 1) from its spine's store, or past
+    its end from a store whose vertices up to the step's far one are the
+    route's; t is the step's arc length over this path's own length, and
+    every check of the loop runs on it.  Past them it steps and refreshes.
+    Its spine's store keeps each step it takes on the spine, a failed
+    refresh as its reason, so each is refreshed once per (start, refresh).
     """
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
@@ -163,12 +179,12 @@ def continue_along(
         refresh = lambda center, lift, prev: log_germ(
             center, prev.eval(center).imag, order
         )
-    store, on_spine = path._steps, path._shared - 1  # j < on_spine: j + 1 <= n - 1
+    stores, on_spine = path._steps, path._shared - 1  # j < on_spine: j + 1 <= n - 1
     kept = ()
-    if store is not None:
-        with store.lock:
-            if store.key == key:
-                kept = store.steps
+    if stores:
+        with stores[0].lock:
+            if stores[0].key == key:
+                kept = stores[0].steps
     last, total = len(path.points) - 1, path.total_length
     elements = [start]
     breaks = [0.0]
@@ -188,8 +204,11 @@ def continue_along(
         if len(breaks) > MAX_STEPS:
             return _failed(f"exceeded {MAX_STEPS} steps")
         k = len(breaks) - 1
-        if k < len(kept) and kept[k][0] < on_spine:
-            j, s, center, lift, g_next = kept[k]
+        step = kept[k] if k < len(kept) else None
+        if step is None and i < on_spine:
+            step = _handed_over(stores, key, k, path.points)
+        if step is not None and step[0] < on_spine:
+            j, s, center, lift, g_next = step
         else:
             j, s, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
             g_next = None
@@ -202,13 +221,16 @@ def continue_along(
             try:
                 g_next = refresh(center, lift, g)
             except LogstairError as exc:
-                return _failed(f"refresh failed: {exc}")
-            if j < on_spine:
-                with store.lock:
-                    if k == 0 and store.key != key:
-                        store.key, store.steps = key, []
-                    if store.key == key and len(store.steps) == k:
-                        store.steps.append((j, s, center, lift, g_next))
+                g_next = f"refresh failed: {exc}"
+        if k >= len(kept) and j < on_spine:
+            own = stores[0]
+            with own.lock:
+                if k == 0 and own.key != key:
+                    own.key, own.steps = key, []
+                if own.key == key and len(own.steps) == k:
+                    own.steps.append((j, s, center, lift, g_next))
+        if isinstance(g_next, str):
+            return _failed(g_next)
         elements.append(g_next)
         breaks.append(t_next)
         g = g_next

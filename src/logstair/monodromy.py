@@ -15,7 +15,8 @@ the routes, and a route is its spine's prefix plus its own last legs, the
 only ones cut, checked and lifted afresh.  Every route is certified by the
 exact oracle on the path the engine walks, which samples only the segments
 past those its spine has certified, and the engine resumes the chain it
-has stepped along the spine, stepping and refreshing only past it.
+has stepped along the spine, or along a spine that shares its vertices,
+stepping and refreshing only past it.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class _Spine:
     to the open leg's k-th multiple of EXP_STEP, certified, how many
     leading segments the exact oracle has found interior at GEOM_TOL, and
     steps, the chain the engine has stepped along its vertices for the last
-    (start germ, hook) pair that ran there (engine._SpineSteps)."""
+    (start germ, hook) pair that ran there (engine._SpineSteps), which
+    routes on other spines that share its first vertices take steps from."""
 
     def __init__(self, waypoints: tuple, unit: complex):
         self.start, self.unit = waypoints[-1], unit
@@ -188,7 +190,7 @@ class _Spine:
         # certified them, as a column's trunk does with the column before
         shared = (_common(self.points, s.points[: s.certified + 1]) for s in _spines.values())
         self.certified = max(shared, default=1) - 1
-        self.steps = _SpineSteps()
+        self.steps = _SpineSteps(self.points)
 
     def prefix(self, length: float) -> int:
         """The number of vertices an open leg of `length` takes from the
@@ -211,9 +213,10 @@ def _common(a: list, b: list) -> int:
 
 # Spines by their waypoints and direction, least recently used dropped first
 # while they hold more than SPINE_VERTICES chord vertices (about 120 bytes
-# each) and the engine steps kept along them; the benchmark's sweep routes
-# through 7 spines of 762 vertices, which keep 378 steps whose germs the
-# map's memo holds too.
+# each) and the engine steps kept along them, the only refreshed germs kept;
+# the benchmark's sweep routes through 7 spines of 762 vertices, whose
+# stores hold 382 steps, 151 distinct germs (a step taken from another
+# spine's store is shared), and end on a failed refresh on four spines.
 # Threads that route at once take turns to find and grow a spine.
 SPINE_VERTICES = 16384
 _spines = OrderedDict()
@@ -223,7 +226,8 @@ _spines_lock = threading.Lock()
 def _route(target: complex):
     """(path, spine, n): the exponential of the route to `target`, whose
     first n vertices are its spine's, with their lengths, lifts, certified
-    segments and engine steps; only the rest is cut, checked and lifted
+    segments and engine steps, and which carries every kept spine's steps,
+    its own spine's first; only the rest is cut, checked and lifted
     afresh."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
@@ -234,12 +238,13 @@ def _route(target: complex):
         n = spine.prefix(length)
         while len(_spines) > 1 and sum(len(s.points) for s in _spines.values()) > SPINE_VERTICES:
             _spines.popitem(last=False)
+        stores = tuple(s.steps for s in reversed(_spines.values()))  # its own first
     pts, cum, lifted = spine.points[:n], spine.cum[:n], spine.lifted[:n]
     out = pts[-1:]
     _cut(out, tail)
     _extend(pts, cum, lifted, out[1:])
     path = PathPolyline(
-        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1), spine.steps, n
+        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1), stores, n
     )
     return path, spine, n
 

@@ -40,14 +40,15 @@ class PathPolyline:
     continuous log lift at its vertices (start branch 0).  A route from
     monodromy also carries how many of its leading segments the exact oracle
     has found interior at GEOM_TOL already (see engine.continuable_exact),
-    and its spine's store of engine steps with the number of its leading
-    vertices that are the spine's (see engine.continue_along)."""
+    the engine's step stores of the spines kept when it was built, its own
+    spine's first, and the number of its leading vertices that are its
+    spine's (see engine.continue_along)."""
 
     points: tuple
     _cumlen: tuple = field(repr=False, compare=False)
     _lift: tuple = field(repr=False, compare=False)
     _certified: int = field(default=0, repr=False, compare=False)
-    _steps: object = field(default=None, repr=False, compare=False)
+    _steps: tuple = field(default=(), repr=False, compare=False)
     _shared: int = field(default=0, repr=False, compare=False)
 
     @property

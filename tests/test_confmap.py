@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import logstair
 from logstair import (
     BadTruncation,
-    CompositionOutOfRange,
     ConformalMap,
     FRefresh,
     Germ,
@@ -35,7 +34,7 @@ from logstair import (
     reach_path,
     validate_path,
 )
-from logstair import choose_lift_target, confmap, monodromy
+from logstair import choose_lift_target, confmap, engine, monodromy
 from logstair.confmap import _flip, _interior_grid
 from logstair.staircase import BASE_LIFT
 
@@ -215,7 +214,7 @@ class TestSelfCheck:
     def test_unresolved_model_ends_the_chain(self, cmap, fgerm):
         # 1e-6 above the floor of column 0 the ring radius to the 64th power
         # underflows; the hook raises ModelUnresolved, which the engine
-        # reports as a failed chain (TestGermMemo calls the hook directly)
+        # reports as a failed chain
         wall = complex(0.5, 1e-6)
         refresh = FRefresh(cmap)
 
@@ -379,7 +378,7 @@ class TestRefreshPath:
 
 @pytest.fixture
 def local_model_calls(monkeypatch):
-    """Counts calls to ConformalMap.local_model, the step a memo hit skips."""
+    """Counts calls to ConformalMap.local_model, the step a kept step skips."""
     calls = []
     inner = ConformalMap.local_model
 
@@ -392,20 +391,32 @@ def local_model_calls(monkeypatch):
 
 
 class TestGermMemo:
-    """The map's memo of assembled h(psi(log z)) germs: a hit returns what
-    the assembly would, so chains do not depend on what ran before."""
+    """Germs kept along the route tree: the spines' step stores hand out
+    what the assembly would, so chains do not depend on what ran before."""
 
-    def test_repeated_route_skips_the_local_model(self, trunc, local_model_calls):
+    def test_repeated_route_skips_the_local_model(self, trunc, local_model_calls, monkeypatch):
+        # the spine keeps the steps whose far vertex is its own; a repeat
+        # assembles only the steps past it
         cmap = build_map(trunc, 256)
         fgerm = f_germ_at_base(cmap)
+        stepped = []
+        inner = engine._step
+
+        def counted_step(path, i, center, cap):
+            stepped.append(inner(path, i, center, cap))
+            return stepped[-1]
+
+        monkeypatch.setattr(engine, "_step", counted_step)
         local_model_calls.clear()
         path = reach_path(-0.5)
         first = continue_along(fgerm, path, refresh=FRefresh(cmap))
-        assert len(local_model_calls) == len(first.elements) - 1  # one per step
+        assert len(local_model_calls) == len(stepped) == len(first.elements) - 1  # one per step
+        past = [z for z, step in zip(local_model_calls, stepped) if step[0] >= path._shared - 1]
+        assert 0 < len(past) < len(stepped) / 4
         local_model_calls.clear()
         second = continue_along(fgerm, path, refresh=FRefresh(cmap))
         assert second == first
-        assert local_model_calls == []
+        assert local_model_calls == past
 
     def test_shared_trunk_gives_the_cold_chain(self, trunc, local_model_calls):
         # both routes leave 0.5 up the same corridor, so the second reuses
@@ -423,10 +434,11 @@ class TestGermMemo:
         assert on_warm.completed
         assert on_fresh == on_warm
 
-    def test_shared_trunk_steps_through_the_same_bits(self, trunc, local_model_calls):
+    def test_shared_trunk_steps_through_the_same_bits(self, trunc):
         # each step is solved on one segment of the route, so routes that
         # share their first segments refresh at bit-identical (center, lift)
-        # pairs, and the memo serves the whole trunk
+        # pairs; each run's own hook keys its chain apart, so every step
+        # reaches the hook
         cmap = build_map(trunc, 256)
         fgerm = f_germ_at_base(cmap)
         refresh = FRefresh(cmap)
@@ -442,9 +454,7 @@ class TestGermMemo:
             return continue_along(fgerm, reach_path(target), refresh=hook)
 
         chains = {target: run(target) for target in (1.5 + 1.5j, 2j, 3j, 2.5)}
-        local_model_calls.clear()
         run(4)
-        assert len(local_model_calls) <= 1
         # the last refresh of a completed chain gets the path's end and the
         # lift of its last vertex
         assert chains[2j].completed
@@ -498,59 +508,6 @@ class TestGermMemo:
         assert second.reason == first.reason
         fresh = build_map(trunc, 256)
         assert continue_along(f_germ_at_base(fresh), path, refresh=FRefresh(fresh)) == second
-
-    def test_a_hit_returns_the_germ_first_assembled(self, trunc):
-        # a Germ is immutable, so the memo hands out the object itself
-        cmap = build_map(trunc, 256)
-        assert f_germ_at_base(cmap) is f_germ_at_base(cmap)
-        path = reach_path(2j)
-        center, lift = path.points[3], path._lift[3]
-        first = FRefresh(cmap)(center, lift, None)
-        assert FRefresh(cmap)(center, lift, None) is first
-
-    def test_memo_is_bounded(self, trunc, monkeypatch):
-        monkeypatch.setattr(confmap, "MEMO_CAPACITY", 8)
-        cmap = build_map(trunc, 256)
-        fgerm = f_germ_at_base(cmap)
-        path = reach_path(-0.5)
-        first = continue_along(fgerm, path, refresh=FRefresh(cmap))
-        assert len(first.elements) > 8
-        assert len(cmap._germs) == 8
-        # every entry was evicted before its reuse: the second run
-        # assembles each germ again and gets the same chain
-        assert continue_along(fgerm, path, refresh=FRefresh(cmap)) == first
-        assert len(cmap._germs) == 8
-
-    @pytest.mark.parametrize(
-        "lift, error",
-        [
-            (complex(1.5, 3.0), OutsideDomain),  # below the floor of column 1
-            (complex(-1.995, 0.3), CompositionOutOfRange),  # after local_model
-            (complex(0.5, 1e-6), ModelUnresolved),  # just above the floor
-            (complex(-1.5, -8.0), ModelUnresolved),  # self-check fails
-        ],
-    )
-    def test_failed_refresh_is_stored(self, trunc, local_model_calls, lift, error):
-        cmap = build_map(trunc, 256)
-        f_germ_at_base(cmap)
-        before = list(cmap._germs)
-        refresh = FRefresh(cmap)
-        center = cmath.exp(lift)
-        with pytest.raises(error) as first:
-            refresh(center, lift, None)
-        calls = len(local_model_calls)
-        key = struct.pack("4d", center.real, center.imag, lift.real, lift.imag)
-        assert list(cmap._germs) == before + [key]
-        # the entry is the error's type and args, not the exception: no
-        # traceback keeps the failed assembly's frames alive
-        assert not isinstance(cmap._germs[key], BaseException)
-        assert cmap._germs[key] == (error, first.value.args)
-        with pytest.raises(error) as second:
-            refresh(center, lift, None)
-        assert second.value is not first.value
-        assert str(second.value) == str(first.value)
-        assert len(local_model_calls) == calls
-        assert list(cmap._germs) == before + [key]
 
 
 def _reference_steps(cmap):
@@ -808,10 +765,8 @@ class TestFusedEvaluation:
                 return str(exc)
 
         def germs():
-            cmap._germs.clear()
             out = [coeffs(lambda: cmap.local_model(zeta)) for zeta in zetas]
             out.append(coeffs(lambda: f_germ_at_base(cmap)))
-            cmap._germs.clear()
             return out
 
         got = germs()

@@ -476,9 +476,10 @@ def _chain_bits(chain) -> str:
 
 
 class TestSpineChains:
-    """A route resumes the chain its spine keeps: every chain is the one a
-    path with no spine gets, for each (start germ, hook) pair in turn, and
-    only the steps past the spine are stepped and refreshed."""
+    """A route resumes the chain its spine keeps, or another spine keeps
+    along their common vertices: every chain is the one a path with no
+    spine gets, for each (start germ, hook) pair in turn, and only the steps
+    past the spine are stepped and refreshed."""
 
     # up column 0's corridor: one spine, each route sharing more of it
     CORRIDOR = tuple(cmath.exp(complex(0.8, y)) for y in (3.0, 3.5, 4.0, 5.5))
@@ -487,13 +488,16 @@ class TestSpineChains:
     def test_routes_resume_the_spineless_chain(self, cold_spines, default_cmap, targets):
         f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
         for start, refresh in ((f, hook), (log_germ(0.5, 0.0), None)):
+            plain = {}  # the spineless chain on each route's points
             for order in (targets, targets[::-1]):
                 cold_spines._spines.clear()
                 for omega in order:
                     path = reach_path(omega)
                     chain = continue_along(start, path, refresh)
-                    plain = continue_along(start, validate_path(path.points), refresh)
-                    assert _chain_bits(chain) == _chain_bits(plain)
+                    if path.points not in plain:
+                        bare = validate_path(path.points)
+                        plain[path.points] = _chain_bits(continue_along(start, bare, refresh))
+                    assert _chain_bits(chain) == plain[path.points]
         # the spines kept steps, which the later routes resumed
         assert any(s.steps.steps for s in cold_spines._spines.values())
 
@@ -503,7 +507,7 @@ class TestSpineChains:
         spines = set()
         for omega in self.CORRIDOR:
             path = reach_path(omega)
-            spines.add(id(path._steps))
+            spines.add(id(path._steps[0]))
             plain = validate_path(path.points)
             chains = []
             for f, hook in maps:
@@ -545,12 +549,123 @@ class TestSpineChains:
         assert stepped == want_stepped and refreshed == want_refreshed
         assert 0 < len(stepped) < (len(chain.elements) - 1) / 4
 
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """engine._step's results, in call order."""
+        out = []
+        inner = engine._step
+
+        def counted_step(path, i, center, cap):
+            out.append(inner(path, i, center, cap))
+            return out[-1]
+
+        monkeypatch.setattr(engine, "_step", counted_step)
+        return out
+
+    def test_no_on_spine_step_is_refreshed_twice(self, cold_spines, default_cmap, stepped):
+        # the 12 ROADMAP targets, forward then reverse from cold spines: a
+        # (center, lift) pair reaches the hook again only where no store
+        # could hand it over.  Either the step reads a vertex past the
+        # route's spine (j >= n - 1), or the route that first refreshed it
+        # kept it on vertices this route does not share: an exit on a ray
+        # that both routes run along, as the trunk does up to the glue line
+        # x = 0 on the way to -1j and past it on the way to 3j.
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        first, repeats, plain = {}, [], {}
+
+        def counted(center, lift, prev):
+            j = stepped[-1][0]
+            if (center, lift) in first:
+                repeats.append((path, j, first[center, lift]))
+            else:
+                first[center, lift] = (path, j)
+            return hook(center, lift, prev)
+
+        for omega in ROADMAP12 + ROADMAP12[::-1]:
+            path = reach_path(omega)
+            chain = continue_along(f, path, counted)
+            if path.points not in plain:
+                bare = validate_path(path.points)
+                plain[path.points] = _chain_bits(continue_along(f, bare, hook))
+            assert _chain_bits(chain) == plain[path.points]
+        assert len(first) > 150
+        rays = 0
+        for path, j, (kept_on, j_first) in repeats:
+            if j >= path._shared - 1:
+                continue
+            # the first refresh was kept, on vertices this route leaves
+            # before the step's far one
+            assert j_first < kept_on._shared - 1
+            assert path.points[: j + 2] != kept_on.points[: j + 2]
+            rays += 1
+        assert rays <= 3  # the trunk's ray steps on the way to -1j
+
+    def test_a_late_handover(self, cold_spines, default_cmap, stepped):
+        # spine B, up column 0's corridor, steps a short route cold; then
+        # spine A, the trunk into column 1, climbs the same corridor past
+        # B's end; B's next, higher route takes A's steps, appended after B
+        # was made, and refreshes only past its own spine
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        refreshed = []
+
+        def counted(center, lift, prev):
+            refreshed.append((center, lift))
+            return hook(center, lift, prev)
+
+        low = reach_path(cmath.exp(complex(0.8, 3.0)))
+        continue_along(f, low, counted)
+        b = low._steps[0]
+        kept_by_b = len(b.steps)
+        a = reach_path(cmath.exp(complex(1.5, TWO_PI + 3.0)))
+        assert a._steps[0] is not b and b in a._steps
+        continue_along(f, a, counted)
+        high = reach_path(cmath.exp(complex(0.8, 5.5)))
+        assert high._steps[0] is b and len(b.steps) == kept_by_b
+        stepped.clear()
+        refreshed.clear()
+        want = continue_along(f, validate_path(high.points), counted)
+        own = [k for k, step in enumerate(stepped) if step[0] >= high._shared - 1]
+        want_refreshed = [refreshed[k] for k in own]
+        assert len(stepped) - len(own) > kept_by_b + 10  # on B's spine, past its store
+        refreshed.clear()
+        chain = continue_along(f, high, counted)
+        assert _chain_bits(chain) == _chain_bits(want)
+        assert refreshed == want_refreshed
+
+    def test_a_stored_failure_is_replayed(self, cold_spines, default_cmap):
+        # routes deep into column -2 fail at the same refresh on its
+        # corridor: the first keeps the failure as its spine's last step,
+        # and the second ends there with no hook call, as on a fresh map
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        refreshed = []
+
+        def counted(center, lift, prev):
+            refreshed.append((center, lift))
+            return hook(center, lift, prev)
+
+        deep = reach_path(cmath.exp(complex(-1.7, -11.0)))
+        first = continue_along(f, deep, counted)
+        assert first.reason.startswith("refresh failed")
+        assert deep._steps[0].steps[-1][4] == first.reason
+        path = reach_path(cmath.exp(complex(-1.3, -8.5)))
+        refreshed.clear()
+        second = continue_along(f, path, counted)
+        assert refreshed == []
+        assert second.reason == first.reason
+        fresh = build_map(Truncation(-2, 2, 8 * math.pi), 256)
+        on_fresh = continue_along(f_germ_at_base(fresh), path, FRefresh(fresh))
+        assert _chain_bits(on_fresh) == _chain_bits(second)
+
     def test_threads_resume_the_same_chains(self, cold_spines, default_cmap):
         # eight threads crosscheck the pinned routes at once from cold
         # spines, switching often, and each gets a lone caller's chains
         f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
         paths = [_pinned_path(q) for q in PINNED_ROUTES]
         want = [_chain_bits(crosscheck(p, f, hook).chain) for p in paths]
+        # the lone pass took steps from other spines' stores: a step taken
+        # is kept by the taker too, so one germ object sits in two stores
+        held = [id(step[4]) for s in cold_spines._spines.values() for step in s.steps.steps]
+        assert len(set(held)) < len(held)
         cold_spines._spines.clear()
         paths = [_pinned_path(q) for q in PINNED_ROUTES]
         got = []
