@@ -105,8 +105,12 @@ class _SpineSteps:
     (j, s, center, lift, germ) is _step's result and the refreshed germ, or
     the reason a refresh failed, which ends the chain.  A step with j + 1 <=
     n - 1 reads no vertex past the spine's first n, so every path that
-    shares those replays it.  Appends are made under lock, and only by a
-    chain whose steps so far are all the store holds."""
+    shares those replays it.  A chain whose step stays on the spine, was in
+    no store when it looked, and may be kept (its first step, or the store
+    holds its key) takes lock after stepping, looks in the store again,
+    refreshes only if the step is still missing and appends it, so chains
+    that run at once refresh each step once.  It appends only when its
+    steps so far are all the store holds."""
 
     def __init__(self, points: list):
         self.points = points
@@ -162,7 +166,10 @@ def continue_along(
     route's; t is the step's arc length over this path's own length, and
     every check of the loop runs on it.  Past them it steps and refreshes.
     Its spine's store keeps each step it takes on the spine, a failed
-    refresh as its reason, so each is refreshed once per (start, refresh).
+    refresh as its reason, so each is refreshed once per (start, refresh):
+    a step on the spine that was in no store and that the store may keep is
+    looked up there again and refreshed only if still missing, holding its
+    lock and no other; every exit of the step releases it.
     """
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
@@ -180,11 +187,12 @@ def continue_along(
             center, prev.eval(center).imag, order
         )
     stores, on_spine = path._steps, path._shared - 1  # j < on_spine: j + 1 <= n - 1
+    own = stores[0] if stores else None
     kept = ()
-    if stores:
-        with stores[0].lock:
-            if stores[0].key == key:
-                kept = stores[0].steps
+    if own is not None:
+        with own.lock:
+            if own.key == key:
+                kept = own.steps
     last, total = len(path.points) - 1, path.total_length
     elements = [start]
     breaks = [0.0]
@@ -205,7 +213,8 @@ def continue_along(
             return _failed(f"exceeded {MAX_STEPS} steps")
         k = len(breaks) - 1
         step = kept[k] if k < len(kept) else None
-        if step is None and i < on_spine:
+        new = step is None
+        if new and i < on_spine:
             step = _handed_over(stores, key, k, path.points)
         if step is not None and step[0] < on_spine:
             j, s, center, lift, g_next = step
@@ -215,20 +224,27 @@ def continue_along(
         t_next = s / total if j < last else 1.0
         if not t_next > t:
             return _failed("no forward progress along the path")
-        if g_next is None:
-            if refresh is None:
-                raise NoRefresh("only a log germ has a default refresh; pass a hook")
-            try:
-                g_next = refresh(center, lift, g)
-            except LogstairError as exc:
-                g_next = f"refresh failed: {exc}"
-        if k >= len(kept) and j < on_spine:
-            own = stores[0]
-            with own.lock:
+        held = new and j < on_spine and (k == 0 or own.key == key)  # one it may keep
+        if held:
+            own.lock.acquire()
+        try:
+            if held and g_next is None and own.key == key and k < len(own.steps):
+                g_next = own.steps[k][4]  # kept by a chain that held the lock first
+            if g_next is None:
+                if refresh is None:
+                    raise NoRefresh("only a log germ has a default refresh; pass a hook")
+                try:
+                    g_next = refresh(center, lift, g)
+                except LogstairError as exc:
+                    g_next = f"refresh failed: {exc}"
+            if held:
                 if k == 0 and own.key != key:
                     own.key, own.steps = key, []
                 if own.key == key and len(own.steps) == k:
                     own.steps.append((j, s, center, lift, g_next))
+        finally:
+            if held:
+                own.lock.release()
         if isinstance(g_next, str):
             return _failed(g_next)
         elements.append(g_next)
@@ -244,26 +260,13 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     Each segment's lift is sampled by _segment_exit.  Exits are reported as
     "corner" only when the offending point sits at a staircase corner AND the
     path terminates there (a lift merely passing through a corner is an
-    ordinary blocked exit).  The verdict is a pure function of the path's
-    points and geom_tol, so the path keeps it, keyed by geom_tol: crosscheck
-    on a path that reach_path or classify has certified looks it up.  A route
-    from reach_path or classify carries how many of its leading segments,
-    which it shares with its spine, the oracle has certified at GEOM_TOL
-    already; at GEOM_TOL the sampling starts after them.
+    ordinary blocked exit).  A route from monodromy carries how many of its
+    leading segments the oracle has certified at GEOM_TOL already, and at
+    GEOM_TOL the sampling starts after them: on a route that reach_path or
+    classify has certified, crosscheck samples no segment.
     """
-    verdicts = path._verdicts
-    if geom_tol in verdicts:
-        return verdicts[geom_tol]
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
-    verdict = verdicts[geom_tol] = _path_verdict(path, geom_tol)
-    return verdict
-
-
-def _path_verdict(path: PathPolyline, geom_tol: float) -> OracleVerdict:
-    """continuable_exact's verdict, computed segment by segment from the
-    first one the path's certified prefix leaves (none at another
-    geom_tol)."""
     lifted = path._lift
     lift_end = lifted[-1]
     pts = path.points

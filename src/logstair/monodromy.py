@@ -14,8 +14,10 @@ a spine (_Spine) holds the chords, lengths and lifts of the fixed part of
 the routes, and a route is its spine's prefix plus its own last legs, the
 only ones cut, checked and lifted afresh.  Every route is certified by the
 exact oracle on the path the engine walks, which samples only the segments
-past those its spine has certified, and the engine resumes the chain it
-has stepped along the spine, or along a spine that shares its vertices,
+past those its spine has certified (none until the spine's first route),
+and the certified route carries its whole length as certified, so
+crosscheck on it samples nothing.  The engine resumes the chain it has
+stepped along the spine, or along a spine that shares its vertices,
 stepping and refreshing only past it.
 """
 
@@ -25,7 +27,7 @@ import cmath
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .engine import ContinuationChain, _SpineSteps, continuable_exact, continue_along
@@ -173,10 +175,12 @@ class _Spine:
     _cut cuts a leg and grown on demand.  It keeps the chord vertices with
     their cumulative lengths and lifts, marks[k], the number of vertices up
     to the open leg's k-th multiple of EXP_STEP, certified, how many
-    leading segments the exact oracle has found interior at GEOM_TOL, and
-    steps, the chain the engine has stepped along its vertices for the last
-    (start germ, hook) pair that ran there (engine._SpineSteps), which
-    routes on other spines that share its first vertices take steps from."""
+    leading segments the exact oracle has found interior at GEOM_TOL (none
+    until its first route is certified; the only record of the oracle's
+    work that routes share), and steps, the chain the engine has stepped
+    along its vertices for the last (start germ, hook) pair that ran there
+    (engine._SpineSteps), which routes on other spines that share its first
+    vertices take steps from."""
 
     def __init__(self, waypoints: tuple, unit: complex):
         self.start, self.unit = waypoints[-1], unit
@@ -186,10 +190,7 @@ class _Spine:
         self.points, self.cum, self.lifted = [], [], []
         _extend(self.points, self.cum, self.lifted, out)
         self.marks = [len(self.points)]
-        # the leading segments it shares with a cached spine that has
-        # certified them, as a column's trunk does with the column before
-        shared = (_common(self.points, s.points[: s.certified + 1]) for s in _spines.values())
-        self.certified = max(shared, default=1) - 1
+        self.certified = 0
         self.steps = _SpineSteps(self.points)
 
     def prefix(self, length: float) -> int:
@@ -206,11 +207,6 @@ class _Spine:
         return self.marks[k]
 
 
-def _common(a: list, b: list) -> int:
-    """The length of the longest common prefix of a and b."""
-    return next((k for k, (p, q) in enumerate(zip(a, b)) if p != q), min(len(a), len(b)))
-
-
 # Spines by their waypoints and direction, least recently used dropped first
 # while they hold more than SPINE_VERTICES chord vertices (about 120 bytes
 # each) and the engine steps kept along them, the only refreshed germs kept;
@@ -225,10 +221,10 @@ _spines_lock = threading.Lock()
 
 def _route(target: complex):
     """(path, spine, n): the exponential of the route to `target`, whose
-    first n vertices are its spine's, with their lengths, lifts, certified
-    segments and engine steps, and which carries every kept spine's steps,
-    its own spine's first; only the rest is cut, checked and lifted
-    afresh."""
+    first n vertices are its spine's, with their lengths, lifts and engine
+    steps, and which carries as _certified the spine's certified segments
+    among its first n - 1, and every kept spine's steps, its own spine's
+    first; only the rest is cut, checked and lifted afresh."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -254,7 +250,8 @@ def _path_to_lift(target: complex) -> PathPolyline:
     oracle: the path must be continuable and its lift must end within 1e-7
     of `target`.  Raises RoutingFailure otherwise.  The oracle samples only
     the segments past those its spine has certified, and certifies the
-    spine's segments that the route takes."""
+    spine's segments that the route takes; the route is returned with every
+    segment certified, so the oracle on it again samples none."""
     path, spine, n = _route(target)
     verdict = continuable_exact(path)
     if verdict.verdict != "continuable" or abs(verdict.lift_end - target) > 1e-7:
@@ -263,7 +260,7 @@ def _path_to_lift(target: complex) -> PathPolyline:
             f"lift end {verdict.lift_end} vs target {target}"
         )
     spine.certified = max(spine.certified, n - 1)
-    return path
+    return replace(path, _certified=len(path.points) - 1)
 
 
 def reach_path(omega) -> PathPolyline:

@@ -13,7 +13,6 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 from .errors import EmptyPath, SegmentThroughOrigin
@@ -39,10 +38,12 @@ class PathPolyline:
     validate_path builds it with its cumulative chord lengths and the
     continuous log lift at its vertices (start branch 0).  A route from
     monodromy also carries how many of its leading segments the exact oracle
-    has found interior at GEOM_TOL already (see engine.continuable_exact),
-    the engine's step stores of the spines kept when it was built, its own
-    spine's first, and the number of its leading vertices that are its
-    spine's (see engine.continue_along)."""
+    has found interior at GEOM_TOL already (see engine.continuable_exact):
+    its spine's certified prefix, or every segment once reach_path or
+    classify has certified it.  It carries as well the engine's step stores
+    of the spines kept when it was built, its own spine's first, and the
+    number of its leading vertices that are its spine's (see
+    engine.continue_along)."""
 
     points: tuple
     _cumlen: tuple = field(repr=False, compare=False)
@@ -62,12 +63,6 @@ class PathPolyline:
     @property
     def total_length(self) -> float:
         return self._cumlen[-1]
-
-    @cached_property
-    def _verdicts(self) -> dict:
-        """The exact oracle's verdicts on this path, by geom_tol (see
-        engine.continuable_exact)."""
-        return {}
 
     def _locate(self, t: float):
         """(i, u): the point at chord-length fraction t lies at fraction u of

@@ -18,6 +18,7 @@ from logstair import (
     WrongBasePoint,
     build_map,
     choose_lift_target,
+    classify,
     continuable_exact,
     continue_along,
     crosscheck,
@@ -39,6 +40,7 @@ from logstair.staircase import GEOM_TOL, _seg_dist, corner_at, in_interior
 
 TWO_PI = 2.0 * math.pi
 LN2 = math.log(2.0)
+E2 = math.e**2
 
 
 def ccw_loop(radius=0.5, chords=64, turns=1):
@@ -218,9 +220,9 @@ def segment_runs(monkeypatch):
     return runs
 
 
-def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
-    """Reference: continuable_exact with nothing kept, the lift sampled
-    afresh segment by segment from the path's start."""
+def _oracle_reference(path, geom_tol=GEOM_TOL):
+    """Reference: continuable_exact with no segment taken as certified, the
+    lift sampled segment by segment from the path's start."""
     if abs(path.start - 0.5) > geom_tol:
         raise WrongBasePoint(path.start)
     lifted, pts, cum = path._lift, path.points, path._cumlen
@@ -256,18 +258,20 @@ def _oracle_unmemoized(path, geom_tol=GEOM_TOL):
 
 
 class TestOracleMemo:
-    """A path keeps the exact oracle's verdicts, by geom_tol, so a repeat on
-    the same path samples nothing; a fresh validate_path of the same points
-    keeps nothing and samples every segment again.  Routes start sampling
-    after the prefix their spine has certified (tests/test_monodromy.py)."""
+    """The exact oracle's verdict is a function of its key, the path's
+    points (with the lift angles they give) and geom_tol, and each call
+    samples the segments anew; only a route skips the leading segments its
+    spine has certified, and a route that reach_path or classify has
+    certified skips them all (tests/test_monodromy.py)."""
 
     def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
         first = continuable_exact(path)
         assert first.verdict == "blocked"
-        assert continuable_exact(path) is first  # the path's own verdict
+        assert first == _oracle_reference(path)
+        assert continuable_exact(path) == first
         assert continuable_exact(validate_path([0.5, 2.0]), GEOM_TOL) == first
-        assert len(segment_runs) == 2
+        assert len(segment_runs) == 3  # each call samples the one segment
 
     def test_shared_blocked_segment_keeps_each_paths_exit(self, segment_runs):
         # the segment from 0.5 to 2.0, lifted from angle 0, is blocked where
@@ -277,7 +281,7 @@ class TestOracleMemo:
         assert b._lift[2].imag == a._lift[0].imag
         va, vb = continuable_exact(a), continuable_exact(b)
         assert len(segment_runs) == 4
-        assert va == _oracle_unmemoized(a) and vb == _oracle_unmemoized(b)
+        assert va == _oracle_reference(a) and vb == _oracle_reference(b)
         assert va.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert vb.first_exit_t == pytest.approx(0.7 / 1.7, abs=1e-6)
         assert continuable_exact(a) == va
@@ -290,44 +294,51 @@ class TestOracleMemo:
         assert looped._lift[-2].imag == pytest.approx(TWO_PI)
         v = continuable_exact(looped)
         assert blocked.verdict == "blocked" and v.verdict == "continuable"
-        assert v == _oracle_unmemoized(looped)
+        assert v == _oracle_reference(looped)
         assert len(segment_runs) == len(looped.points)
 
     def test_geom_tol_is_part_of_the_key(self, segment_runs):
         # the lift runs 1e-7 above the corner at 0 and the floor of column
-        # 0: clear of the boundary at 1e-9, on it at 1e-6
+        # 0: clear of the boundary at 1e-9, on it at 1e-6; each tolerance
+        # gets its own verdict, in either order
         up = 0.5 * cmath.exp(1e-7j)
         path = validate_path([0.5, up, math.exp(0.5) * cmath.exp(1e-7j)])
         fine = continuable_exact(path, 1e-9)
         coarse = continuable_exact(path, 1e-6)
         assert fine.verdict == "continuable"
         assert coarse.verdict == "blocked"
-        assert path._verdicts == {1e-9: fine, 1e-6: coarse}
-        assert continuable_exact(validate_path(path.points), 1e-9) == fine
-        assert continuable_exact(validate_path(path.points), 1e-6) == coarse
-        assert coarse == _oracle_unmemoized(path, 1e-6)
-        assert len(segment_runs) == 8
+        assert fine == _oracle_reference(path, 1e-9)
+        assert coarse == _oracle_reference(path, 1e-6)
+        assert continuable_exact(path, 1e-6) == coarse
+        assert continuable_exact(path, 1e-9) == fine
+        assert len(segment_runs) == 8  # each call samples both segments
 
     def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
-        # reach_path certified the route; crosscheck looks that verdict up
-        # on the path and samples nothing
-        path = reach_path(-0.5)
-        assert len(segment_runs) == len(path.points) - 1
-        certified = continuable_exact(path)
+        # on a cold cache each route's oracle samples every segment once;
+        # reach_path and classify certify their routes whole, so crosscheck
+        # on a route or a witness samples nothing
+        route = reach_path(-0.5)
+        assert len(segment_runs) == len(route.points) - 1
         segment_runs.clear()
-        report = crosscheck(path, log_germ(0.5, 0.0))
+        witness = classify(-E2, 2, 3).witness_path
+        assert len(segment_runs) == len(witness.points) - 1
+        for path in (route, witness):
+            assert path._certified == len(path.points) - 1
+        segment_runs.clear()
+        for path in (route, witness):
+            report = crosscheck(path, log_germ(0.5, 0.0))
+            assert report.oracle == _oracle_reference(path)
+            assert report.oracle.verdict == "continuable" and report.agree
         assert segment_runs == []
-        assert report.oracle is certified
-        assert report.oracle == _oracle_unmemoized(path)
-        assert report.oracle.verdict == "continuable"
 
     def test_raising_call_is_not_stored(self, segment_runs):
+        # a path off the base point raises at each call and each tolerance,
+        # before any segment is sampled
         path = validate_path([1.0, 2.0])
-        for _ in range(2):
+        for geom_tol in (GEOM_TOL, GEOM_TOL, 1e-6):
             with pytest.raises(WrongBasePoint):
-                continuable_exact(path)
+                continuable_exact(path, geom_tol)
         assert segment_runs == []
-        assert path._verdicts == {}
 
 
 def _handed_the_value(hook):
@@ -460,7 +471,7 @@ def test_certified_prefix_keeps_every_verdict(shape, end_column):
     except LogstairError:
         assume(False)
     for geom_tol in (GEOM_TOL, 1e-6):
-        want = _oracle_unmemoized(path, geom_tol)
+        want = _oracle_reference(path, geom_tol)
         assert continuable_exact(path, geom_tol) == want
         assert continuable_exact(validate_path(path.points), geom_tol) == want
 

@@ -15,6 +15,7 @@ import logstair.engine as engine
 import logstair.monodromy as monodromy
 from logstair import (
     FRefresh,
+    NoRefresh,
     NotOnSlit,
     OracleVerdict,
     RoutingFailure,
@@ -404,8 +405,9 @@ class TestSpines:
         reach_path(cmath.exp(complex(0.3, 5.5)))
         assert len(sampled) > 60
         sampled.clear()
-        path = reach_path(cmath.exp(complex(0.8, 3.0)))
-        k = path._certified
+        omega = cmath.exp(complex(0.8, 3.0))
+        path = reach_path(omega)
+        k = monodromy._route(choose_lift_target(omega))[2] - 1  # the spine's share
         assert abs(path._lift[k] - complex(0.5, 0.05 + 29 * monodromy.EXP_STEP)) < 1e-12
         assert sampled == _segments(path, k)
         assert len(sampled) == 4  # the corridor's last chord, three level ones
@@ -415,9 +417,11 @@ class TestSpines:
         # on it: past the spine, a route has one chord of its own
         high = classify(-E2, 2, 3).witness_path
         sampled.clear()
-        low = classify(E2 * cmath.exp(2j), 2, 3).witness_path
-        assert low.points[: low._certified + 1] == high.points[: low._certified + 1]
-        assert sampled == _segments(low, low._certified) and len(sampled) == 1
+        row = classify(E2 * cmath.exp(2j), 2, 3)
+        low = row.witness_path
+        k = monodromy._route(row.lift_end)[2] - 1  # the spine's share
+        assert low.points[: k + 1] == high.points[: k + 1]
+        assert sampled == _segments(low, k) and len(sampled) == 1
 
     def test_cache_is_bounded(self, cold_spines, monkeypatch):
         targets = [cmath.exp(complex(x, a)) for x in (-1.6, -0.4, 0.5, 1.5, 2.5) for a in (-2.0, 2.0)]
@@ -686,6 +690,65 @@ class TestSpineChains:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 8
+
+    def test_threads_on_one_spine_refresh_each_step_once(self, cold_spines, default_cmap):
+        # four threads continue the corridor's routes, which share one
+        # spine, at once from its cold store, switching often: a step no
+        # store holds is refreshed under the store's lock by one chain and
+        # replayed by the rest, so the hook sees each (center, lift) once
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        paths = [reach_path(omega) for omega in self.CORRIDOR]
+        store = paths[0]._steps[0]
+        assert all(p._steps[0] is store for p in paths)
+        want = [_chain_bits(continue_along(f, validate_path(p.points), hook)) for p in paths]
+        refreshed = []
+
+        def counted(center, lift, prev):
+            refreshed.append((center, lift))
+            return hook(center, lift, prev)
+
+        got = [None] * len(paths)
+        barrier = threading.Barrier(len(paths), timeout=60)
+
+        def work(k):
+            barrier.wait()
+            got[k] = _chain_bits(continue_along(f, paths[k], counted))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(paths))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert len(set(refreshed)) == len(refreshed)
+        assert not store.lock.locked()
+        kept = {(step[2], step[3]) for step in store.steps}
+        assert len(kept) > 60 and kept <= set(refreshed)
+
+    def test_a_raising_step_releases_the_store(self, cold_spines, default_cmap):
+        # a step refreshed under the store's lock releases it when the hook
+        # raises an error that is not a LogstairError, or when no hook is
+        # given for a germ that needs one
+        path = reach_path(self.CORRIDOR[0])
+        store, f = path._steps[0], f_germ_at_base(default_cmap)
+
+        def broken(center, lift, prev):
+            raise ValueError("not a LogstairError")
+
+        with pytest.raises(ValueError):
+            continue_along(f, path, broken)
+        assert not store.lock.locked() and store.steps == []
+        with pytest.raises(NoRefresh):
+            continue_along(f, path)
+        assert not store.lock.locked() and store.steps == []
+        assert continue_along(log_germ(0.5, 0.0), path).completed
+        assert store.steps
 
 
 class TestCertificate:
