@@ -257,13 +257,15 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     """Exact continuability oracle: the germ continues along `path` precisely
     when the logarithm lift (start branch 0) stays interior to the staircase.
 
-    Each segment's lift is sampled by _segment_exit.  Exits are reported as
-    "corner" only when the offending point sits at a staircase corner AND the
-    path terminates there (a lift merely passing through a corner is an
-    ordinary blocked exit).  A route from monodromy carries how many of its
-    leading segments the oracle has certified at GEOM_TOL already, and at
-    GEOM_TOL the sampling starts after them: on a route that reach_path or
-    classify has certified, crosscheck samples no segment.
+    Each segment is decided by _segment_exit: cleared from its two end
+    lifts when the corner of their box is interior, and sampled otherwise.
+    Exits are reported as "corner" only when the offending point sits at a
+    staircase corner AND the path terminates there (a lift merely passing
+    through a corner is an ordinary blocked exit).  A route from monodromy
+    carries how many of its leading segments the oracle has certified at
+    GEOM_TOL already, and at GEOM_TOL the oracle starts after them: on a
+    route that reach_path or classify has certified, crosscheck decides no
+    segment.
     """
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
@@ -301,9 +303,39 @@ def _segment_exit(a: complex, b: complex, theta_a: float, geom_tol: float):
 
     The lift is sampled at ~0.005 increments of lift arc length; the first
     non-interior sample is sharpened by bisection and the fraction nudged just
-    past the flip, so it stays non-interior under recomputation."""
+    past the flip, so it stays non-interior under recomputation.
+
+    Before sampling, the two end lifts may settle the verdict.  |z| is
+    convex along the chord, so log|z| peaks at an end; the lift's angle is
+    monotone (see lift_point), so it lies between the ends' angles; and
+    column is nondecreasing, so E keeps every point left of or above an
+    interior point.  If the corner (max Re, min Im) of the end lifts' box,
+    pushed outward by a rounding margin, is interior, every sample would be,
+    and the chord is cleared with no sample taken.  The margin bounds how far
+    a computed sample or end lift can stray from its exact value, with
+    u = 2^-53, D = |b - a| and r = dist(0, [a, b]):
+      - the samples run along a + s*(b - a) with b - a rounded, so the one at
+        s = 1 is a + 1.0*(b - a), not b, and each sample lies within about
+        2u*(|a| + D) of its exact point; that moves log|z| and phase(z/a) by
+        up to 2u*(|a| + D)/|z| <= 2u*(1 + 2D/r), since |a| <= |z| + D: the
+        phase loses about u*|a|/|z| near the chord's closest approach to 0;
+      - abs, log, the division, the phase and theta_a + phase round to
+        within u*(8 + |log|z|| + |theta_a| + |theta_b|), and |log|z|| < 745
+        for every nonzero double.
+    Counted at a sample and at an end, that is below 2,000 u times
+    (1 + D/r)(1 + |theta_a| + |theta_b|); the margin takes 1e-12 (about
+    4,500 u) times that product.  The computed in_interior is monotone as
+    well, since rounding is, so a cleared chord is one on which sampling
+    would have returned None: every verdict and exit is the sampled one."""
     d = b - a
     arc_bound = abs(d) / _seg_dist(0j, a, b)
+    lift_a, lift_b = lift_point(a, theta_a, a), lift_point(a, theta_a, b)
+    margin = 1e-12 * (1.0 + arc_bound) * (1.0 + abs(lift_a.imag) + abs(lift_b.imag))
+    worst = complex(
+        max(lift_a.real, lift_b.real) + margin, min(lift_a.imag, lift_b.imag) - margin
+    )
+    if in_interior(worst, geom_tol):
+        return None
     n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
     s_prev = 0.0
     for j in range(1, n_sub + 1):

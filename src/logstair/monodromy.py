@@ -13,12 +13,13 @@ the continuation engine meets the same germs along them.  The tree is kept:
 a spine (_Spine) holds the chords, lengths and lifts of the fixed part of
 the routes, and a route is its spine's prefix plus its own last legs, the
 only ones cut, checked and lifted afresh.  Every route is certified by the
-exact oracle on the path the engine walks, which samples only the segments
+exact oracle on the path the engine walks, which decides only the segments
 past those its spine has certified (none until the spine's first route),
-and the certified route carries its whole length as certified, so
-crosscheck on it samples nothing.  The engine resumes the chain it has
-stepped along the spine, or along a spine that shares its vertices,
-stepping and refreshing only past it.
+each cleared from its two end lifts since a route's chords keep well inside
+the staircase, and the certified route carries its whole length as
+certified, so crosscheck on it decides nothing.  The engine resumes the
+chain it has stepped along the spine, or along a spine that shares its
+vertices, stepping and refreshing only past it.
 """
 
 from __future__ import annotations

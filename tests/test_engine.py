@@ -206,8 +206,8 @@ class TestCrosscheck:
 
 @pytest.fixture
 def segment_runs(monkeypatch):
-    """Counts the oracle's segment samplings, starting from an empty spine
-    cache."""
+    """Counts the segments the oracle decides (its _segment_exit calls),
+    starting from an empty spine cache."""
     runs = []
     inner = engine._segment_exit
 
@@ -257,12 +257,12 @@ def _oracle_reference(path, geom_tol=GEOM_TOL):
     return OracleVerdict("continuable", None, lift_end)
 
 
-class TestOracleMemo:
-    """The exact oracle's verdict is a function of its key, the path's
-    points (with the lift angles they give) and geom_tol, and each call
-    samples the segments anew; only a route skips the leading segments its
-    spine has certified, and a route that reach_path or classify has
-    certified skips them all (tests/test_monodromy.py)."""
+class TestOracleVerdicts:
+    """The exact oracle's verdict is a function of the path's points (with
+    the lift angles they give) and geom_tol, and each call decides every
+    segment anew, from its end lifts or by sampling; only a route skips the
+    leading segments its spine has certified, and a route that reach_path or
+    classify has certified skips them all (tests/test_monodromy.py)."""
 
     def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
@@ -311,10 +311,10 @@ class TestOracleMemo:
         assert coarse == _oracle_reference(path, 1e-6)
         assert continuable_exact(path, 1e-6) == coarse
         assert continuable_exact(path, 1e-9) == fine
-        assert len(segment_runs) == 8  # each call samples both segments
+        assert len(segment_runs) == 8  # each call decides both segments
 
     def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
-        # on a cold cache each route's oracle samples every segment once;
+        # on a cold cache each route's oracle decides every segment once;
         # reach_path and classify certify their routes whole, so crosscheck
         # on a route or a witness samples nothing
         route = reach_path(-0.5)
@@ -339,6 +339,49 @@ class TestOracleMemo:
             with pytest.raises(WrongBasePoint):
                 continuable_exact(path, geom_tol)
         assert segment_runs == []
+
+
+@pytest.fixture
+def interior_tests(monkeypatch):
+    """The oracle's membership tests (engine.in_interior calls)."""
+    calls = []
+    inner = engine.in_interior
+
+    def counted(z, tol=GEOM_TOL):
+        calls.append(z)
+        return inner(z, tol)
+
+    monkeypatch.setattr(engine, "in_interior", counted)
+    return calls
+
+
+class TestEndLiftCertificate:
+    """A segment whose two end lifts clear it takes one membership test, at
+    the corner (max Re, min Im) of their box; any other segment is sampled
+    and bisected as before.  The oracle makes one more test, at the path's
+    start."""
+
+    def test_a_cold_route_takes_one_test_per_segment(self, segment_runs, interior_tests):
+        route = reach_path(-0.5)
+        assert len(segment_runs) == len(route.points) - 1
+        assert len(interior_tests) == 1 + len(segment_runs)
+
+    def test_a_chord_past_zero_takes_one_test(self, segment_runs, interior_tests):
+        # the chord passes 0.0038 from 0, 1/338 of its length: sampling its
+        # lift takes 67,600 samples, and the corner test clears it
+        path = validate_path([0.5, -0.8 + 0.01j])
+        v = continuable_exact(path)
+        assert len(segment_runs) == 1 and len(interior_tests) == 2
+        assert v.verdict == "continuable" and v == _oracle_reference(path)
+
+    def test_a_blocked_segment_is_still_sampled(self, segment_runs, interior_tests):
+        # the lift crosses the floor of column 0 at z = 1: the corner test
+        # fails, then 200 of the 600 samples run up to z = 1 and 60
+        # bisections sharpen the exit
+        v = continuable_exact(validate_path([0.5, 2.0]))
+        assert v.verdict == "blocked"
+        assert v.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert len(segment_runs) == 1 and len(interior_tests) == 2 + 200 + 60
 
 
 def _handed_the_value(hook):
@@ -474,6 +517,96 @@ def test_certified_prefix_keeps_every_verdict(shape, end_column):
         want = _oracle_reference(path, geom_tol)
         assert continuable_exact(path, geom_tol) == want
         assert continuable_exact(validate_path(path.points), geom_tol) == want
+
+
+def _wound_to(x, theta):
+    """Vertices from 0.5 to e^(x + i theta) whose lift runs left along y = 0
+    to x = -1.5, round 0 at that radius up or down to angle theta, then
+    level to x: interior when theta > max(-4 pi, 2 pi column(x))."""
+    r0 = math.exp(-1.5)
+    n = max(1, math.ceil(abs(theta) / (math.pi / 4)))
+    m = max(1, math.ceil(abs(x + 1.5) / LN2))
+    return (
+        [0.5, r0]
+        + [r0 * cmath.exp(1j * theta * k / n) for k in range(1, n + 1)]
+        + [cmath.exp(complex(-1.5 + (x + 1.5) * k / m, theta)) for k in range(1, m + 1)]
+    )
+
+
+def _near_edge(feature, n, along, inside, offset, geom_tol):
+    """A lift-plane point offset from the staircase's boundary at geom_tol:
+    above (inside) or below the floor of column n, left of (inside) or on
+    the glue line x = n between the floors of columns n - 1 and n, or by
+    the corner (n, 2 pi n), left of its glue line or on it and above or
+    below its floor."""
+    sign = 1.0 if inside else -1.0
+    if feature == "floor":
+        return complex(n + 0.05 + 0.9 * along, TWO_PI * n + geom_tol + sign * offset)
+    if feature == "glue":
+        y = TWO_PI * (n - 1) + 0.2 + (TWO_PI - 0.4) * along
+        return complex(n - geom_tol - sign * offset, y)
+    left = 1.0 if along < 0.5 else -1.0
+    return complex(n - left * (geom_tol + offset), TWO_PI * n + geom_tol + sign * offset)
+
+
+edges = st.tuples(
+    st.sampled_from(["floor", "glue", "corner"]),
+    st.integers(-1, 1),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.sampled_from([GEOM_TOL, 1e-6]),
+)
+
+
+@given(edges, st.floats(-17.0, -6.0), st.floats(0.1, 2.5), st.floats(0.0, 1.0), st.booleans())
+@example(("floor", 0, 0.5, True, GEOM_TOL), -13.0, 1.0, 0.0, False)
+@example(("corner", 1, 0.7, False, 1e-6), -13.0, 0.5, 0.3, True)
+# the sample at s = 1, a + 1.0*(b - a), lifts below the floor (or onto the
+# glue line) where b lifts above it: with no margin the corner test clears
+# these chords, and sampling finds them blocked at t = 1
+@example(
+    ("floor", 0, 0.3559364196627752, False, 1e-09),
+    -15.597998819115457, 1.2822082370391066, 0.7175249580220481, False,
+)
+@example(
+    ("glue", 0, 0.5104730163778821, True, 1e-09),
+    -16.181872100316635, 1.9230243715042528, 0.732496449743446, False,
+)
+@settings(max_examples=300, deadline=None)
+def test_end_lift_certificate_at_the_staircase_edge(edge, log_offset, rise, shift, far_end_right):
+    # a chord whose lift falls by rise from a to b and whose box corner
+    # (max Re, min Im) sits 1e-17..1e-6 inside or outside a floor, a glue
+    # line or a corner; b's lift is the corner unless a lies right of it
+    feature, n, along, inside, geom_tol = edge
+    corner = _near_edge(feature, n, along, inside, 10.0**log_offset, geom_tol)
+    x_a, x_b = corner.real - shift, corner.real
+    if far_end_right:
+        x_a, x_b = x_b, x_a
+    pts = _wound_to(x_a, corner.imag + rise) + [cmath.exp(complex(x_b, corner.imag))]
+    path = validate_path(pts)
+    assert continuable_exact(path, geom_tol) == _oracle_reference(path, geom_tol)
+
+
+@given(edges, st.floats(-13.0, -1.0), st.floats(-9.0, -2.0))
+@example(("floor", 0, 0.5, True, GEOM_TOL), -13.0, -9.0)
+@example(("glue", 1, 0.5, True, GEOM_TOL), -2.0, -9.0)
+@settings(max_examples=150, deadline=None)
+def test_end_lift_certificate_near_zero(edge, log_offset, log_gap):
+    # a chord from a to b, |a| = |b|, passing 10**log_gap of its length from
+    # 0, at s = 1/2, with b's lift by the staircase's boundary as above.
+    # Sampling it every 0.005 of lift arc would take up to 2e11 samples, so
+    # the grid is coarsened to 2,000 samples, one at s = 1/2, where
+    # phase(z/a) loses most; a cleared chord has every sample interior, on
+    # any grid
+    feature, n, along, inside, geom_tol = edge
+    corner = _near_edge(feature, n, along, inside, 10.0**log_offset, geom_tol)
+    sweep = 2.0 * math.atan(0.5 / 10.0**log_gap)
+    pts = _wound_to(corner.real, corner.imag + sweep) + [cmath.exp(corner)]
+    path = validate_path(pts)
+    a, b = path.points[-2:]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_ORACLE_ARC", abs(b - a) / _seg_dist(0j, a, b) / 1999.5)
+        assert continuable_exact(path, geom_tol) == _oracle_reference(path, geom_tol)
 
 
 def _bisected_step(path, t0, center, cap):

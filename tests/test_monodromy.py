@@ -363,8 +363,8 @@ class TestRouteBits:
 
 @pytest.fixture
 def sampled(monkeypatch, cold_spines):
-    """The oracle's segment samplings, as (a, b, theta_a, geom_tol), from an
-    empty spine cache."""
+    """The segments the oracle decides (its _segment_exit calls), as (a, b,
+    theta_a, geom_tol), from an empty spine cache."""
     runs = []
     inner = engine._segment_exit
 
