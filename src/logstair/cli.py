@@ -248,6 +248,10 @@ def _cmd_table(args) -> int:
             f"--m-range/--n-offsets: integers required, got "
             f"{args.m_range!r}, {args.n_offsets!r}"
         ) from None
+    if lo > hi:
+        raise _FieldError(f"--m-range: LO must be <= HI, got {args.m_range!r}")
+    if args.samples < 1:
+        raise _FieldError(f"--samples: expected an integer >= 1, got {args.samples}")
     table = truth_table(range(lo, hi + 1), offsets, args.samples)
     rows = ["M,N,omega_re,omega_im,lift_re,lift_im,verdict"]
     for r in table.rows:

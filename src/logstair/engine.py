@@ -158,13 +158,14 @@ def continue_along(
     parameter reached.
 
     A route from monodromy carries the kept spines' step stores
-    (_SpineSteps), its own spine's first, and how many of its leading
-    vertices are its spine's, n.  A chain keyed like a store, by (start,
-    refresh) with the default hook as None, takes each step that reads no
-    vertex past the first n (j + 1 <= n - 1) from its spine's store, or past
-    its end from a store whose vertices up to the step's far one are the
-    route's; t is the step's arc length over this path's own length, and
-    every check of the loop runs on it.  Past them it steps and refreshes.
+    (_SpineSteps), its own spine's first and the others in the spine cache's
+    order, and how many of its leading vertices are its spine's, n.  A chain
+    keyed like a store, by (start, refresh) with the default hook as None,
+    takes each step that reads no vertex past the first n (j + 1 <= n - 1)
+    from its spine's store, or past its end from a store whose vertices up
+    to the step's far one are the route's; t is the step's arc length over
+    this path's own length, and every check of the loop runs on it.  Past
+    them it steps and refreshes.
     Its spine's store keeps each step it takes on the spine, a failed
     refresh as its reason, so each is refreshed once per (start, refresh):
     a step on the spine that was in no store and that the store may keep is

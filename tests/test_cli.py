@@ -223,6 +223,15 @@ class TestTable:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--samples", "0"), ("--samples", "-3"), ("--m-range", "2:1")]
+    )
+    def test_empty_range_names_its_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "table", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}:")
+
 
 class TestReach:
     def test_round_trip_through_oracle(self, capsys, tmp_path):

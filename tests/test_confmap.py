@@ -390,7 +390,7 @@ def local_model_calls(monkeypatch):
     return calls
 
 
-class TestGermMemo:
+class TestSpineStores:
     """Germs kept along the route tree: the spines' step stores hand out
     what the assembly would, so chains do not depend on what ran before."""
 

@@ -1,7 +1,6 @@
 import bisect
 import cmath
 import math
-from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -216,7 +215,7 @@ def segment_runs(monkeypatch):
         return inner(a, b, theta_a, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
-    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
+    monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
     return runs
 
 
@@ -286,7 +285,7 @@ class TestOracleVerdicts:
         assert vb.first_exit_t == pytest.approx(0.7 / 1.7, abs=1e-6)
         assert continuable_exact(a) == va
 
-    def test_the_lift_angle_is_part_of_the_key(self, segment_runs):
+    def test_the_lift_angle_decides_the_verdict(self, segment_runs):
         # after a loop about 0 the segment from 0.5 to 2.0 lifts 2 pi higher,
         # above the floor its first lift crosses
         blocked = continuable_exact(validate_path([0.5, 2.0]))
@@ -297,7 +296,7 @@ class TestOracleVerdicts:
         assert v == _oracle_reference(looped)
         assert len(segment_runs) == len(looped.points)
 
-    def test_geom_tol_is_part_of_the_key(self, segment_runs):
+    def test_each_geom_tol_gets_its_own_verdict(self, segment_runs):
         # the lift runs 1e-7 above the corner at 0 and the floor of column
         # 0: clear of the boundary at 1e-9, on it at 1e-6; each tolerance
         # gets its own verdict, in either order
@@ -331,7 +330,7 @@ class TestOracleVerdicts:
             assert report.oracle.verdict == "continuable" and report.agree
         assert segment_runs == []
 
-    def test_raising_call_is_not_stored(self, segment_runs):
+    def test_a_path_off_the_base_point_raises_before_sampling(self, segment_runs):
         # a path off the base point raises at each call and each tolerance,
         # before any segment is sampled
         path = validate_path([1.0, 2.0])

@@ -5,7 +5,6 @@ import random
 import struct
 import sys
 import threading
-from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -106,9 +105,11 @@ class TestTruthTable:
         assert tab.theorem_b_pass
 
     def test_rejects_empty_ranges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m_range"):
             truth_table([], [0], 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_offsets"):
+            truth_table(range(0, 1), [], 4)
+        with pytest.raises(ValueError, match="samples_per_slit"):
             truth_table(range(0, 1), [0], 0)
 
 
@@ -340,7 +341,7 @@ def _route_bits(path) -> bytes:
 @pytest.fixture
 def cold_spines(monkeypatch):
     """An empty spine cache, for this test alone."""
-    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
+    monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
     return monodromy
 
 
@@ -430,9 +431,17 @@ class TestSpines:
         cold_spines._spines.clear()
         monkeypatch.setattr(monodromy, "SPINE_VERTICES", 300)
         for omega, bits in zip(targets, want):
-            assert _route_bits(reach_path(omega)) == bits
-            held = sum(len(s.points) for s in cold_spines._spines.values())
-            assert held <= 300 or len(cold_spines._spines) == 1
+            path = reach_path(omega)
+            assert _route_bits(path) == bits
+            spines = cold_spines._spines
+            held = sum(len(s.points) for s in spines.values())
+            assert held <= 300 or len(spines) == 1
+            # the cache counts what it holds, and the route carries its own
+            # spine's store (the most recently used) first, then every kept
+            # spine's and no other
+            assert spines.vertices == held
+            assert path._steps[0] is next(reversed(spines.values())).steps
+            assert set(path._steps) == {s.steps for s in spines.values()}
 
 
     def test_threads_build_the_same_paths(self, cold_spines):
@@ -459,6 +468,8 @@ class TestSpines:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 8
+        spines = cold_spines._spines
+        assert spines.vertices == sum(len(s.points) for s in spines.values())
 
 
 @pytest.fixture(scope="module")
