@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .confmap import build_map, psi_eval, quality_report
+from .confmap import MIN_RESOLUTION, build_map, psi_eval, quality_report
 from .engine import continuable_exact, continue_along
 from .errors import LogstairError
 from .monodromy import classify, expexp_demo, reach_path, truth_table
@@ -61,7 +61,15 @@ def _parse_scalar(text: str, field: str) -> float:
         raise _FieldError(f"{field}: expected a number, got {text!r}") from None
 
 
-def _parse_truncation(text: str) -> Truncation:
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise _FieldError(f"{flag}: expected an integer >= {low}, got {value}")
+    return value
+
+
+def _map(args):
+    resolution = _at_least(args.resolution, MIN_RESOLUTION, "--resolution")
+    text = args.truncation
     parts = text.split(":")
     if len(parts) != 3:
         raise _FieldError(f"--truncation: expected n_min:n_max:y_max, got {text!r}")
@@ -69,7 +77,8 @@ def _parse_truncation(text: str) -> Truncation:
         n_min, n_max = int(parts[0]), int(parts[1])
     except ValueError:
         raise _FieldError(f"--truncation: integer columns, got {text!r}") from None
-    return Truncation(n_min, n_max, _parse_scalar(parts[2], "--truncation"))
+    y_max = _parse_scalar(parts[2], "--truncation")
+    return build_map(Truncation(n_min, n_max, y_max), resolution)
 
 
 def _read_path(file_name: str):
@@ -196,7 +205,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_continue(args) -> int:
     path = _read_path(args.path)
-    germ, refresh = _make_germ(args.germ, path.start, args.order)
+    germ, refresh = _make_germ(args.germ, path.start, _at_least(args.order, 1, "--order"))
     chain = continue_along(germ, path, refresh)
     rows = ["t,center_re,center_im,radius_est"]
     for t, g in zip(chain.breakpoints, chain.elements):
@@ -250,9 +259,7 @@ def _cmd_table(args) -> int:
         ) from None
     if lo > hi:
         raise _FieldError(f"--m-range: LO must be <= HI, got {args.m_range!r}")
-    if args.samples < 1:
-        raise _FieldError(f"--samples: expected an integer >= 1, got {args.samples}")
-    table = truth_table(range(lo, hi + 1), offsets, args.samples)
+    table = truth_table(range(lo, hi + 1), offsets, _at_least(args.samples, 1, "--samples"))
     rows = ["M,N,omega_re,omega_im,lift_re,lift_im,verdict"]
     for r in table.rows:
         rows.append(
@@ -272,7 +279,7 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    report = expexp_demo(args.order)
+    report = expexp_demo(_at_least(args.order, 1, "--order"))
     a, b = report.branch_a, report.branch_b
     sys.stdout.write(f"branch_a={a.status}\n")
     if report.fail_point is not None:
@@ -284,7 +291,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_build_map(args) -> int:
-    cmap = build_map(_parse_truncation(args.truncation), args.resolution)
+    cmap = _map(args)
     rows = ["node_re,node_im"]
     rows += [_fmt_c(complex(z)) for z in cmap.nodes]
     _emit("\n".join(rows) + "\n", args.out)
@@ -297,7 +304,7 @@ def _cmd_build_map(args) -> int:
 
 
 def _cmd_map_report(args) -> int:
-    cmap = build_map(_parse_truncation(args.truncation), args.resolution)
+    cmap = _map(args)
     report = quality_report(cmap)
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -105,28 +105,28 @@ class _SpineSteps:
     (j, s, center, lift, germ) is _step's result and the refreshed germ, or
     the reason a refresh failed, which ends the chain.  A step with j + 1 <=
     n - 1 reads no vertex past the spine's first n, so every path that
-    shares those replays it.  A chain whose step stays on the spine, was in
-    no store when it looked, and may be kept (its first step, or the store
-    holds its key) takes lock after stepping, looks in the store again,
-    refreshes only if the step is still missing and appends it, so chains
-    that run at once refresh each step once.  It appends only when its
-    steps so far are all the store holds."""
+    shares those replays it.  The stores, the spine cache and the spines'
+    certified prefixes are read and written holding _route_lock, the
+    package's one lock, and a chain holds it from its first step to its
+    last, so chains that run at once refresh each kept step once.  The lock
+    is re-entrant: a hook may route or continue a germ inside its chain."""
 
     def __init__(self, points: list):
         self.points = points
         self.key = None
         self.steps = []
-        self.lock = threading.Lock()
+
+
+_route_lock = threading.RLock()  # the package's one lock (see _SpineSteps)
 
 
 def _handed_over(stores, key, k: int, points: tuple):
     """Step k of the chain keyed key from the first store in stores that
     holds it on a prefix of points: the store's vertices up to the step's
-    far one, j + 1, are points' (None if no store does).  Each store's lock
-    is held alone, and its vertices, which only grow, are read without."""
+    far one, j + 1, are points' (None if no store does).  The caller holds
+    _route_lock."""
     for other in stores:
-        with other.lock:
-            step = other.steps[k] if other.key == key and k < len(other.steps) else None
+        step = other.steps[k] if other.key == key and k < len(other.steps) else None
         if step is not None and list(points[: step[0] + 2]) == other.points[: step[0] + 2]:
             return step
     return None
@@ -157,20 +157,21 @@ def continue_along(
     LogstairError (ModelUnresolved, for one); t_fail is the furthest
     parameter reached.
 
-    A route from monodromy carries the kept spines' step stores
-    (_SpineSteps), its own spine's first and the others in the spine cache's
-    order, and how many of its leading vertices are its spine's, n.  A chain
-    keyed like a store, by (start, refresh) with the default hook as None,
-    takes each step that reads no vertex past the first n (j + 1 <= n - 1)
-    from its spine's store, or past its end from a store whose vertices up
-    to the step's far one are the route's; t is the step's arc length over
-    this path's own length, and every check of the loop runs on it.  Past
-    them it steps and refreshes.
+    A route from monodromy carries its own spine's step store (_SpineSteps)
+    with the spine cache's list of the kept spines' stores, which holds
+    those of spines kept after the route was built too, and how many of its
+    leading vertices are its spine's, n.  A chain keyed like a store, by
+    (start, refresh) with the default hook as None, takes each step that
+    reads no vertex past the first n (j + 1 <= n - 1) from its spine's
+    store, or past its end from a kept store whose vertices up to the
+    step's far one are the route's; t is the step's arc length over this
+    path's own length, and every check of the loop runs on it.  Past them
+    it steps and refreshes.
     Its spine's store keeps each step it takes on the spine, a failed
-    refresh as its reason, so each is refreshed once per (start, refresh):
-    a step on the spine that was in no store and that the store may keep is
-    looked up there again and refreshed only if still missing, holding its
-    lock and no other; every exit of the step releases it.
+    refresh as its reason, when the step is the chain's first or the store
+    holds the chain's key, so each is refreshed once per (start, refresh).
+    The chain holds _route_lock from its first step to its last, so chains
+    that run at once take turns, and every exit releases it.
     """
     if abs(start.center - path.start) > 1e-9:
         raise CenterMismatch(
@@ -187,13 +188,8 @@ def continue_along(
         refresh = lambda center, lift, prev: log_germ(
             center, prev.eval(center).imag, order
         )
-    stores, on_spine = path._steps, path._shared - 1  # j < on_spine: j + 1 <= n - 1
-    own = stores[0] if stores else None
-    kept = ()
-    if own is not None:
-        with own.lock:
-            if own.key == key:
-                kept = own.steps
+    own, stores = path._steps or (None, ())
+    on_spine = path._shared - 1  # j < on_spine: j + 1 <= n - 1
     last, total = len(path.points) - 1, path.total_length
     elements = [start]
     breaks = [0.0]
@@ -203,34 +199,30 @@ def continue_along(
     def _failed(reason: str) -> ContinuationChain:
         return ContinuationChain(tuple(elements), tuple(breaks), "failed", t, reason)
 
-    while True:
-        if g.radius_est < RADIUS_FLOOR:
-            return _failed(
-                f"radius estimate {g.radius_est:.3e} below floor {RADIUS_FLOOR:.3e}"
-            )
-        if t >= 1.0:
-            return ContinuationChain(tuple(elements), tuple(breaks), "completed")
-        if len(breaks) > MAX_STEPS:
-            return _failed(f"exceeded {MAX_STEPS} steps")
-        k = len(breaks) - 1
-        step = kept[k] if k < len(kept) else None
-        new = step is None
-        if new and i < on_spine:
-            step = _handed_over(stores, key, k, path.points)
-        if step is not None and step[0] < on_spine:
-            j, s, center, lift, g_next = step
-        else:
-            j, s, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
-            g_next = None
-        t_next = s / total if j < last else 1.0
-        if not t_next > t:
-            return _failed("no forward progress along the path")
-        held = new and j < on_spine and (k == 0 or own.key == key)  # one it may keep
-        if held:
-            own.lock.acquire()
-        try:
-            if held and g_next is None and own.key == key and k < len(own.steps):
-                g_next = own.steps[k][4]  # kept by a chain that held the lock first
+    with _route_lock:
+        kept = own.steps if own is not None and own.key == key else ()
+        while True:
+            if g.radius_est < RADIUS_FLOOR:
+                return _failed(
+                    f"radius estimate {g.radius_est:.3e} below floor {RADIUS_FLOOR:.3e}"
+                )
+            if t >= 1.0:
+                return ContinuationChain(tuple(elements), tuple(breaks), "completed")
+            if len(breaks) > MAX_STEPS:
+                return _failed(f"exceeded {MAX_STEPS} steps")
+            k = len(breaks) - 1
+            step = kept[k] if k < len(kept) else None
+            new = step is None
+            if new and i < on_spine:
+                step = _handed_over(stores, key, k, path.points)
+            if step is not None and step[0] < on_spine:
+                j, s, center, lift, g_next = step
+            else:
+                j, s, center, lift = _step(path, i, g.center, STEP_SAFETY * g.radius_est)
+                g_next = None
+            t_next = s / total if j < last else 1.0
+            if not t_next > t:
+                return _failed("no forward progress along the path")
             if g_next is None:
                 if refresh is None:
                     raise NoRefresh("only a log germ has a default refresh; pass a hook")
@@ -238,20 +230,16 @@ def continue_along(
                     g_next = refresh(center, lift, g)
                 except LogstairError as exc:
                     g_next = f"refresh failed: {exc}"
-            if held:
-                if k == 0 and own.key != key:
+            if new and j < on_spine and (k == 0 or own.key == key):
+                if k == 0:
                     own.key, own.steps = key, []
-                if own.key == key and len(own.steps) == k:
-                    own.steps.append((j, s, center, lift, g_next))
-        finally:
-            if held:
-                own.lock.release()
-        if isinstance(g_next, str):
-            return _failed(g_next)
-        elements.append(g_next)
-        breaks.append(t_next)
-        g = g_next
-        i, t = j, t_next
+                own.steps.append((j, s, center, lift, g_next))
+            if isinstance(g_next, str):
+                return _failed(g_next)
+            elements.append(g_next)
+            breaks.append(t_next)
+            g = g_next
+            i, t = j, t_next
 
 
 def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleVerdict:

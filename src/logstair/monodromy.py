@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .engine import ContinuationChain, _SpineSteps, continuable_exact, continue_along
+from .engine import _route_lock
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, _extend, validate_path
 from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
@@ -142,6 +142,14 @@ def _route_lift(target: complex):
     return tuple(pts[:fixed]), pts[fixed:] or [pts[-1]]
 
 
+def _grid(length: float) -> int:
+    """The number of grid points k * EXP_STEP, k >= 1, below `length`."""
+    k = int(length / EXP_STEP) + 1
+    while k and not k * EXP_STEP < length:
+        k -= 1
+    return k
+
+
 def _cut(out: list, pts) -> None:
     """Append to the chord vertices `out` those of the exponential of the
     lift polyline pts.  Each leg is cut at every multiple of EXP_STEP of
@@ -162,10 +170,8 @@ def _cut(out: list, pts) -> None:
         length = abs(b - a)
         unit = (b - a) / length
         chord_to(cmath.exp(a))
-        k = 1
-        while k * EXP_STEP < length:
+        for k in range(1, _grid(length) + 1):
             chord_to(cmath.exp(a + unit * (k * EXP_STEP)))
-            k += 1
     chord_to(cmath.exp(pts[-1]))
 
 
@@ -197,9 +203,7 @@ class _Spine:
     def prefix(self, length: float) -> int:
         """The number of vertices an open leg of `length` takes from the
         spine: its grid points k * EXP_STEP < length, as _cut cuts it."""
-        k = int(length / EXP_STEP) + 1
-        while k and not k * EXP_STEP < length:
-            k -= 1
+        k = _grid(length)
         while len(self.marks) <= k:
             z = cmath.exp(self.start + self.unit * (len(self.marks) * EXP_STEP))
             if z != self.points[-1]:
@@ -211,28 +215,28 @@ class _Spine:
 class _SpineCache(OrderedDict):
     """Spines by their waypoints and direction, each set once, least
     recently used first, with the chord vertices they hold (vertices) and
-    their step stores (stores, in the order the spines were set), which
-    __setitem__, popitem and clear keep; a caller that grows a kept spine
-    adds the vertices it appends to vertices."""
+    their step stores (stores, one list in the order the spines were set),
+    which __setitem__, popitem and clear keep; a caller that grows a kept
+    spine adds the vertices it appends to vertices."""
 
     def __init__(self):
-        self.vertices, self.stores = 0, ()
+        self.vertices, self.stores = 0, []
         super().__init__()
 
     def __setitem__(self, key, spine):
         super().__setitem__(key, spine)
         self.vertices += len(spine.points)
-        self.stores += (spine.steps,)
+        self.stores.append(spine.steps)
 
     def popitem(self, last=True):
         key, spine = super().popitem(last)
         self.vertices -= len(spine.points)
-        self.stores = tuple(s for s in self.stores if s is not spine.steps)
+        self.stores.remove(spine.steps)
         return key, spine
 
     def clear(self):
         super().clear()
-        self.vertices, self.stores = 0, ()
+        self.vertices, self.stores[:] = 0, []
 
 
 # The kept spines, least recently used dropped first while they hold more
@@ -242,24 +246,23 @@ class _SpineCache(OrderedDict):
 # distinct germs (a step taken from another spine's store is shared), and
 # end on a failed refresh on four spines; its oracle workload keeps 27
 # spines of 2,864 vertices after 2,000 route operations (seed 2401).
-# Threads that route at once take turns to find and grow a spine.
+# A route finds, grows and evicts spines holding engine._route_lock.
 SPINE_VERTICES = 16384
 _spines = _SpineCache()
-_spines_lock = threading.Lock()
 
 
 def _route(target: complex):
     """(path, spine, n): the exponential of the route to `target`, whose
     first n vertices are its spine's, with their lengths, lifts and engine
     steps, and which carries as _certified the spine's certified segments
-    among its first n - 1, and the step stores of its own spine first, then
-    of every kept spine in the order the cache took them; only the rest is
-    cut, checked and lifted afresh."""
+    among its first n - 1, and its own spine's step store with the cache's
+    list of the kept spines' stores, which later routes grow; only the rest
+    is cut, checked and lifted afresh."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
     key = waypoints, unit
-    with _spines_lock:
+    with _route_lock:
         spine = _spines.get(key)
         if spine is None:
             spine = _spines[key] = _Spine(waypoints, unit)
@@ -270,13 +273,13 @@ def _route(target: complex):
         _spines.vertices += len(spine.points) - held
         while len(_spines) > 1 and _spines.vertices > SPINE_VERTICES:
             _spines.popitem(last=False)
-        stores = (spine.steps,) + _spines.stores
     pts, cum, lifted = spine.points[:n], spine.cum[:n], spine.lifted[:n]
     out = pts[-1:]
     _cut(out, tail)
     _extend(pts, cum, lifted, out[1:])
     path = PathPolyline(
-        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1), stores, n
+        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1),
+        (spine.steps, _spines.stores), n,
     )
     return path, spine, n
 
@@ -295,7 +298,8 @@ def _path_to_lift(target: complex) -> PathPolyline:
             f"routed path failed the oracle: {verdict.verdict}, "
             f"lift end {verdict.lift_end} vs target {target}"
         )
-    spine.certified = max(spine.certified, n - 1)
+    with _route_lock:
+        spine.certified = max(spine.certified, n - 1)
     return replace(path, _certified=len(path.points) - 1)
 
 

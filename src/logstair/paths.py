@@ -40,9 +40,9 @@ class PathPolyline:
     monodromy also carries how many of its leading segments the exact oracle
     has found interior at GEOM_TOL already (see engine.continuable_exact):
     its spine's certified prefix, or every segment once reach_path or
-    classify has certified it.  It carries as well the engine's step stores
-    of the spines kept when it was built, its own spine's first, and the
-    number of its leading vertices that are its spine's (see
+    classify has certified it.  It carries as well its own spine's engine
+    step store with the spine cache's list of the kept spines' stores, and
+    the number of its leading vertices that are its spine's (see
     engine.continue_along)."""
 
     points: tuple

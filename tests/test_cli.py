@@ -342,6 +342,22 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "wind", "--path", segment_file, "--bogus")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("map-report", "--resolution", "10"),
+            ("build-map", "--resolution", "63"),
+            ("demo-expexp", "--order", "0"),
+            ("continue", "--order", "0"),
+        ],
+    )
+    def test_out_of_range_names_its_flag(self, capsys, segment_file, argv):
+        path = ("--path", segment_file) if argv[0] == "continue" else ()
+        code, out, err = run(capsys, *argv, *path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[1]}: expected an integer >= ")
+
     def test_geom_tol_only_on_oracle(self, capsys, segment_file):
         code, _, _ = run(capsys, "wind", "--path", segment_file, "--geom-tol", "1e-9")
         assert code == 2

@@ -338,6 +338,22 @@ def _route_bits(path) -> bytes:
     return struct.pack(f"{len(doubles)}d", *doubles)
 
 
+def _lock_is_free() -> bool:
+    """Whether another thread can take the package's one lock: this thread
+    could take it again even while it holds it, since it is re-entrant."""
+    taken = []
+
+    def take():
+        if engine._route_lock.acquire(timeout=5):
+            engine._route_lock.release()
+            taken.append(True)
+
+    t = threading.Thread(target=take)
+    t.start()
+    t.join(timeout=30)
+    return taken == [True]
+
+
 @pytest.fixture
 def cold_spines(monkeypatch):
     """An empty spine cache, for this test alone."""
@@ -437,11 +453,13 @@ class TestSpines:
             held = sum(len(s.points) for s in spines.values())
             assert held <= 300 or len(spines) == 1
             # the cache counts what it holds, and the route carries its own
-            # spine's store (the most recently used) first, then every kept
-            # spine's and no other
+            # spine's store (the most recently used) and the cache's list of
+            # every kept spine's store and no other
             assert spines.vertices == held
-            assert path._steps[0] is next(reversed(spines.values())).steps
-            assert set(path._steps) == {s.steps for s in spines.values()}
+            own, stores = path._steps
+            assert own is next(reversed(spines.values())).steps
+            assert stores is spines.stores
+            assert set(stores) == {s.steps for s in spines.values()}
 
 
     def test_threads_build_the_same_paths(self, cold_spines):
@@ -632,7 +650,7 @@ class TestSpineChains:
         b = low._steps[0]
         kept_by_b = len(b.steps)
         a = reach_path(cmath.exp(complex(1.5, TWO_PI + 3.0)))
-        assert a._steps[0] is not b and b in a._steps
+        assert a._steps[0] is not b and b in a._steps[1]
         continue_along(f, a, counted)
         high = reach_path(cmath.exp(complex(0.8, 5.5)))
         assert high._steps[0] is b and len(b.steps) == kept_by_b
@@ -644,6 +662,36 @@ class TestSpineChains:
         assert len(stepped) - len(own) > kept_by_b + 10  # on B's spine, past its store
         refreshed.clear()
         chain = continue_along(f, high, counted)
+        assert _chain_bits(chain) == _chain_bits(want)
+        assert refreshed == want_refreshed
+
+    def test_a_route_takes_steps_from_a_spine_made_after_it(
+        self, cold_spines, default_cmap, stepped
+    ):
+        # a route up column 0's corridor is built first, then the trunk into
+        # column 1, which climbs the same corridor on a spine of its own and
+        # is continued first: the earlier route reads the spine cache's
+        # stores when its chain runs, takes the later spine's steps and
+        # refreshes only past its own spine
+        f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        refreshed = []
+
+        def counted(center, lift, prev):
+            refreshed.append((center, lift))
+            return hook(center, lift, prev)
+
+        low = reach_path(cmath.exp(complex(0.8, 3.0)))
+        a = reach_path(cmath.exp(complex(1.5, TWO_PI + 3.0)))
+        assert a._steps[0] is not low._steps[0]
+        continue_along(f, a, counted)
+        stepped.clear()
+        refreshed.clear()
+        want = continue_along(f, validate_path(low.points), counted)
+        own = [k for k, step in enumerate(stepped) if step[0] >= low._shared - 1]
+        want_refreshed = [refreshed[k] for k in own]
+        assert len(stepped) - len(own) > 10  # on its spine
+        refreshed.clear()
+        chain = continue_along(f, low, counted)
         assert _chain_bits(chain) == _chain_bits(want)
         assert refreshed == want_refreshed
 
@@ -671,12 +719,30 @@ class TestSpineChains:
         on_fresh = continue_along(f_germ_at_base(fresh), path, FRefresh(fresh))
         assert _chain_bits(on_fresh) == _chain_bits(second)
 
-    def test_threads_resume_the_same_chains(self, cold_spines, default_cmap):
+    def test_threads_resume_the_same_chains(self, cold_spines, default_cmap, monkeypatch):
         # eight threads crosscheck the pinned routes at once from cold
-        # spines, switching often, and each gets a lone caller's chains
+        # spines, switching often, and each gets a lone caller's chains.
+        # A chain holds the one lock from its first step to its last, and
+        # reads every kept spine's store, so between them the threads
+        # refresh each step on a route's spine once, as the lone pass does,
+        # and each thread refreshes the steps past its routes' spines
         f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
+        inner, on_spine, calls = engine._step, [], []
+
+        def located(path, i, center, cap):
+            step = inner(path, i, center, cap)
+            on_spine.append(step[0] < path._shared - 1)
+            return step
+
+        def counted(center, lift, prev):
+            calls.append(on_spine[-1])  # the step this refresh follows
+            return hook(center, lift, prev)
+
+        monkeypatch.setattr(engine, "_step", located)
         paths = [_pinned_path(q) for q in PINNED_ROUTES]
-        want = [_chain_bits(crosscheck(p, f, hook).chain) for p in paths]
+        want = [_chain_bits(crosscheck(p, f, counted).chain) for p in paths]
+        on, off = calls.count(True), calls.count(False)
+        assert on > 100 and off > 10
         # the lone pass took steps from other spines' stores: a step taken
         # is kept by the taker too, so one germ object sits in two stores
         held = [id(step[4]) for s in cold_spines._spines.values() for step in s.steps.steps]
@@ -684,9 +750,10 @@ class TestSpineChains:
         cold_spines._spines.clear()
         paths = [_pinned_path(q) for q in PINNED_ROUTES]
         got = []
+        calls.clear()
 
         def work(shift):
-            chains = [_chain_bits(crosscheck(p, f, hook).chain) for p in paths[shift:] + paths[:shift]]
+            chains = [_chain_bits(crosscheck(p, f, counted).chain) for p in paths[shift:] + paths[:shift]]
             got.append(chains[-shift:] + chains[:-shift] if shift else chains)
 
         interval = sys.getswitchinterval()
@@ -701,12 +768,14 @@ class TestSpineChains:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 8
+        assert len(calls) == on + 8 * off
 
     def test_threads_on_one_spine_refresh_each_step_once(self, cold_spines, default_cmap):
         # four threads continue the corridor's routes, which share one
-        # spine, at once from its cold store, switching often: a step no
-        # store holds is refreshed under the store's lock by one chain and
-        # replayed by the rest, so the hook sees each (center, lift) once
+        # spine, at once from its cold store, switching often: each chain
+        # holds the one lock throughout, so a step the store keeps is
+        # refreshed by one chain and replayed by the rest, and the hook sees
+        # each (center, lift) once
         f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
         paths = [reach_path(omega) for omega in self.CORRIDOR]
         store = paths[0]._steps[0]
@@ -738,14 +807,14 @@ class TestSpineChains:
             sys.setswitchinterval(interval)
         assert got == want
         assert len(set(refreshed)) == len(refreshed)
-        assert not store.lock.locked()
+        assert _lock_is_free()
         kept = {(step[2], step[3]) for step in store.steps}
         assert len(kept) > 60 and kept <= set(refreshed)
 
     def test_a_raising_step_releases_the_store(self, cold_spines, default_cmap):
-        # a step refreshed under the store's lock releases it when the hook
-        # raises an error that is not a LogstairError, or when no hook is
-        # given for a germ that needs one
+        # a chain releases the one lock when the hook raises an error that
+        # is not a LogstairError, or when no hook is given for a germ that
+        # needs one, and its store keeps no step
         path = reach_path(self.CORRIDOR[0])
         store, f = path._steps[0], f_germ_at_base(default_cmap)
 
@@ -754,10 +823,10 @@ class TestSpineChains:
 
         with pytest.raises(ValueError):
             continue_along(f, path, broken)
-        assert not store.lock.locked() and store.steps == []
+        assert _lock_is_free() and store.steps == []
         with pytest.raises(NoRefresh):
             continue_along(f, path)
-        assert not store.lock.locked() and store.steps == []
+        assert _lock_is_free() and store.steps == []
         assert continue_along(log_germ(0.5, 0.0), path).completed
         assert store.steps
 
