@@ -161,12 +161,19 @@ def continue_along(
     with the spine cache's list of the kept spines' stores, which holds
     those of spines kept after the route was built too, and how many of its
     leading vertices are its spine's, n.  A chain keyed like a store, by
-    (start, refresh) with the default hook as None, takes each step that
-    reads no vertex past the first n (j + 1 <= n - 1) from its spine's
-    store, or past its end from a kept store whose vertices up to the
-    step's far one are the route's; t is the step's arc length over this
-    path's own length, and every check of the loop runs on it.  Past them
-    it steps and refreshes.
+    (start, refresh) with the default hook as None, first replays the steps
+    its spine's store keeps that read no vertex past the first n
+    (j + 1 <= n - 1), a prefix of the store since j never decreases.  The
+    replay relies on how a store grows: only chains of its key append to
+    it, each from the same start germ through the steps before, so every
+    kept step passed the radius floor and MAX_STEPS on the germ before it.
+    It checks only what this path's own length changes: t, the step's arc
+    length over that length, must increase (and a step at t = 1 ends it),
+    and a kept failure ends the chain with its reason.  The loop then
+    checks the floor and MAX_STEPS on the germ the replay ended on, as on
+    the start germ when nothing was replayed.  On the spine past its own
+    store a chain takes each step from a kept store whose vertices up to
+    the step's far one are the route's; past them it steps and refreshes.
     Its spine's store keeps each step it takes on the spine, a failed
     refresh as its reason, when the step is the chain's first or the store
     holds the chain's key, so each is refreshed once per (start, refresh).
@@ -201,6 +208,18 @@ def continue_along(
 
     with _route_lock:
         kept = own.steps if own is not None and own.key == key else ()
+        for j, s, center, lift, g_next in kept:
+            if j >= on_spine or t >= 1.0:
+                break
+            t_next = s / total
+            if not t_next > t:
+                return _failed("no forward progress along the path")
+            if isinstance(g_next, str):
+                return _failed(g_next)
+            elements.append(g_next)
+            breaks.append(t_next)
+            g = g_next
+            i, t = j, t_next
         while True:
             if g.radius_est < RADIUS_FLOOR:
                 return _failed(
@@ -211,10 +230,8 @@ def continue_along(
             if len(breaks) > MAX_STEPS:
                 return _failed(f"exceeded {MAX_STEPS} steps")
             k = len(breaks) - 1
-            step = kept[k] if k < len(kept) else None
-            new = step is None
-            if new and i < on_spine:
-                step = _handed_over(stores, key, k, path.points)
+            new = k >= len(kept)
+            step = _handed_over(stores, key, k, path.points) if new and i < on_spine else None
             if step is not None and step[0] < on_spine:
                 j, s, center, lift, g_next = step
             else:
@@ -271,10 +288,9 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
         seg = abs(b - a)
         if seg == 0.0:
             continue
-        theta_a = lifted[i].imag
-        s_exit = _segment_exit(a, b, theta_a, geom_tol)
+        s_exit = _segment_exit(a, b, lifted[i], lifted[i + 1], geom_tol)
         if s_exit is not None:
-            exit_zeta = lift_point(a, theta_a, a + s_exit * (b - a))
+            exit_zeta = lift_point(a, lifted[i].imag, a + s_exit * (b - a))
             t_exit = (cum[i] + s_exit * seg) / path.total_length
             corner = corner_at(exit_zeta, 2.0 * geom_tol)
             terminal = (
@@ -285,9 +301,9 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     return OracleVerdict("continuable", None, lift_end)
 
 
-def _segment_exit(a: complex, b: complex, theta_a: float, geom_tol: float):
-    """The fraction of the segment from a to b at which its log lift, of
-    angle theta_a at a, first leaves the staircase interior, or None if it
+def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom_tol: float):
+    """The fraction of the segment from a to b at which its log lift, lift_a
+    at a and lift_b at b, first leaves the staircase interior, or None if it
     stays inside.
 
     The lift is sampled at ~0.005 increments of lift arc length; the first
@@ -311,6 +327,10 @@ def _segment_exit(a: complex, b: complex, theta_a: float, geom_tol: float):
       - abs, log, the division, the phase and theta_a + phase round to
         within u*(8 + |log|z|| + |theta_a| + |theta_b|), and |log|z|| < 745
         for every nonzero double.
+    The end lifts are the path's vertex lifts.  The one at b is
+    lift_point(a, theta_a, b) bit for bit; the one at a is log|a| + i theta_a,
+    which differs from lift_point(a, theta_a, a) by the rounding of
+    phase(a/a), at most u, inside the end lift's share of the margin.
     Counted at a sample and at an end, that is below 2,000 u times
     (1 + D/r)(1 + |theta_a| + |theta_b|); the margin takes 1e-12 (about
     4,500 u) times that product.  The computed in_interior is monotone as
@@ -318,7 +338,7 @@ def _segment_exit(a: complex, b: complex, theta_a: float, geom_tol: float):
     would have returned None: every verdict and exit is the sampled one."""
     d = b - a
     arc_bound = abs(d) / _seg_dist(0j, a, b)
-    lift_a, lift_b = lift_point(a, theta_a, a), lift_point(a, theta_a, b)
+    theta_a = lift_a.imag
     margin = 1e-12 * (1.0 + arc_bound) * (1.0 + abs(lift_a.imag) + abs(lift_b.imag))
     worst = complex(
         max(lift_a.real, lift_b.real) + margin, min(lift_a.imag, lift_b.imag) - margin

@@ -27,7 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .engine import ContinuationChain, _SpineSteps, continuable_exact, continue_along
@@ -58,7 +59,14 @@ class ClassificationReport:
     N: int
     lift_end: complex
     verdict: str  # "continuable" | "blocked" | "corner"
-    witness_path: Optional[PathPolyline] = None
+
+    @cached_property
+    def witness_path(self) -> Optional[PathPolyline]:
+        """A path to omega certified like reach_path's, whose lift ends at
+        lift_end, when the verdict is continuable (else None).  It is routed
+        on the first read: its length grows with the winding index, and the
+        verdict needs none of it."""
+        return _path_to_lift(self.lift_end) if self.verdict == "continuable" else None
 
 
 @dataclass(frozen=True)
@@ -300,7 +308,8 @@ def _path_to_lift(target: complex) -> PathPolyline:
         )
     with _route_lock:
         spine.certified = max(spine.certified, n - 1)
-    return replace(path, _certified=len(path.points) - 1)
+    pts = path.points
+    return PathPolyline(pts, path._cumlen, path._lift, len(pts) - 1, path._steps, path._shared)
 
 
 def reach_path(omega) -> PathPolyline:
@@ -323,8 +332,8 @@ def classify(omega, M: int, N: int) -> ClassificationReport:
     The lift endpoint is built directly from (omega, M, N): circle targets
     land at M + i(arg0 + 2*pi*N) with arg0 in [-2*pi, 0), segment targets at
     ln(omega) + 2*pi*(N-1)i.  The verdict is the staircase status of that
-    point; a witness path, certified like reach_path's, is attached when it
-    is interior.
+    point alone; the report's witness_path, certified like reach_path's, is
+    routed when it is first read.
     """
     omega = complex(omega)
     if not slit_contains(omega, M):
@@ -335,9 +344,7 @@ def classify(omega, M: int, N: int) -> ClassificationReport:
         lift_end = complex(M, arg0 + TWO_PI * N)
     else:
         lift_end = complex(math.log(omega.real), TWO_PI * (N - 1))
-    verdict = _verdict_of(lift_end)
-    witness = _path_to_lift(lift_end) if verdict == "continuable" else None
-    return ClassificationReport(omega, M, N, lift_end, verdict, witness)
+    return ClassificationReport(omega, M, N, lift_end, _verdict_of(lift_end))
 
 
 def truth_table(m_range, n_offsets, samples_per_slit: int) -> TruthTable:

@@ -185,7 +185,10 @@ def lift_log(path: PathPolyline, start_branch_im: float = 0.0) -> LogLift:
     exactly halfway between two branches takes the higher one, so shifting
     the request by 2*pi*k shifts the lift by exactly 2*pi*k.  This keeps
     exp(lift) == path exact at every vertex, whatever the start's argument.
+    A start_branch_im that is not finite raises ValueError.
     """
+    if not math.isfinite(start_branch_im):
+        raise ValueError(f"start_branch_im must be finite, got {start_branch_im!r}")
     pts = path.points
     lifted = [_start_lift(pts[0], start_branch_im)]
     for a, b in zip(pts, pts[1:]):

@@ -73,6 +73,14 @@ class TestLift:
         assert parse_pair(grab(out, "lift_end")) == pytest.approx(math.log(2))
         assert dest.read_text().splitlines()[0] == "lift_re,lift_im"
 
+    @pytest.mark.parametrize("branch", ["inf", "nan", "-inf"])
+    def test_non_finite_branch_is_domain_error(self, capsys, segment_file, branch):
+        code, out, err = run(capsys, "lift", "--path", segment_file, f"--branch-im={branch}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: start_branch_im must be finite")
+        assert "Traceback" not in err
+
 
 class TestContinue:
     def test_log_germ_completes(self, capsys, segment_file):
@@ -189,6 +197,13 @@ class TestClassify:
         assert code == 0
         assert grab(out, "verdict") == "blocked"
         assert not dest.exists()
+
+    def test_a_large_winding_index_routes_no_witness(self, capsys):
+        # without --out no witness is read, so none is routed up the 10^8
+        # turns of the staircase
+        code, out, _ = run(capsys, "classify", "--omega=1,0", "--m=0", "--n=99999999")
+        assert code == 0
+        assert grab(out, "verdict") == "continuable"
 
     def test_off_slit_is_domain_error(self, capsys):
         code, _, err = run(capsys, "classify", "--omega", "2", "--m", "0", "--n", "0")

@@ -210,9 +210,9 @@ def segment_runs(monkeypatch):
     runs = []
     inner = engine._segment_exit
 
-    def counted(a, b, theta_a, geom_tol):
-        runs.append((a, b, theta_a, geom_tol))
-        return inner(a, b, theta_a, geom_tol)
+    def counted(a, b, lift_a, lift_b, geom_tol):
+        runs.append((a, b, lift_a.imag, geom_tol))
+        return inner(a, b, lift_a, lift_b, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
     monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())

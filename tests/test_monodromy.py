@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -75,6 +76,27 @@ class TestClassify:
             classify(2.0, 0, 0)
         with pytest.raises(NotOnSlit):
             classify(-E2, 1, 2)
+
+    def test_a_large_winding_index_is_decided_without_a_witness(self):
+        # the verdict comes from the lift end alone; a witness would climb
+        # 10^8 turns of the staircase
+        start = time.perf_counter()
+        r = classify(1, 0, 10**8)
+        assert time.perf_counter() - start < 1.0
+        assert r.verdict == "continuable"
+        assert r.lift_end == pytest.approx(complex(0.0, TWO_PI * (10**8 - 1)))
+
+    def test_witness_is_routed_on_first_read(self, monkeypatch):
+        routed = []
+        inner = monodromy._path_to_lift
+        monkeypatch.setattr(monodromy, "_path_to_lift", lambda t: routed.append(t) or inner(t))
+        r = classify(-E2, 2, 3)
+        assert routed == []
+        witness = r.witness_path
+        assert routed == [r.lift_end] and r.witness_path is witness
+        assert witness._certified == len(witness.points) - 1
+        assert abs(witness.end + E2) < 1e-9
+        assert classify(-E2, 2, 2).witness_path is None and len(routed) == 1
 
     def test_witness_passes_oracle(self):
         for omega, M, N in [(-E2, 2, 3), (0.6, 0, 1), (1j, 0, 2), (-math.exp(-2), -2, 0)]:
@@ -385,9 +407,9 @@ def sampled(monkeypatch, cold_spines):
     runs = []
     inner = engine._segment_exit
 
-    def counted(a, b, theta_a, geom_tol):
-        runs.append((a, b, theta_a, geom_tol))
-        return inner(a, b, theta_a, geom_tol)
+    def counted(a, b, lift_a, lift_b, geom_tol):
+        runs.append((a, b, lift_a.imag, geom_tol))
+        return inner(a, b, lift_a, lift_b, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
     return runs
@@ -770,6 +792,36 @@ class TestSpineChains:
         assert got == [want] * 8
         assert len(calls) == on + 8 * off
 
+    def test_serial_orders_resume_the_same_chains(self, cold_spines):
+        # the pinned routes, built in one order from cold spines, are
+        # continued whole one after another in fixed orders: forward,
+        # reversed and the thread test's rotations.  A chain reads the spine
+        # cache's stores when it runs, those of spines made after its route
+        # too, so every order gets the forward pass's chains with as many
+        # hook calls.  A log germ's hook is cheap, and a chain takes kept
+        # steps by the same rules whatever its hook
+        f = log_germ(0.5, 0.0)
+        calls = []
+
+        def counted(center, lift, prev):
+            calls.append(center)
+            return log_germ(center, prev.eval(center).imag)
+
+        n = len(PINNED_ROUTES)
+        forward = list(range(n))
+        orders = [forward, forward[::-1]] + [forward[k:] + forward[:k] for k in range(1, 8)]
+        want = None
+        for order in orders:
+            cold_spines._spines.clear()
+            paths = [_pinned_path(q) for q in PINNED_ROUTES]
+            calls.clear()
+            got = {k: _chain_bits(continue_along(f, paths[k], counted)) for k in order}
+            chains = [got[k] for k in forward]
+            if want is None:
+                want, want_calls = chains, len(calls)
+            assert chains == want
+            assert len(calls) == want_calls, order
+
     def test_threads_on_one_spine_refresh_each_step_once(self, cold_spines, default_cmap):
         # four threads continue the corridor's routes, which share one
         # spine, at once from its cold store, switching often: each chain
@@ -841,7 +893,7 @@ class TestCertificate:
         with pytest.raises(RoutingFailure):
             reach_path(2j)
         with pytest.raises(RoutingFailure):
-            classify(-E2, 2, 3)
+            classify(-E2, 2, 3).witness_path
         assert classify(-E2, 2, 2).verdict == "blocked"  # no witness, no oracle
 
 

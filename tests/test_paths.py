@@ -64,6 +64,11 @@ class TestLift:
         lift = lift_log(validate_path([2.0, 2j]), start_branch_im=TWO_PI)
         assert lift.points[0] == complex(math.log(2.0), TWO_PI)
 
+    @pytest.mark.parametrize("branch", [math.inf, -math.inf, math.nan])
+    def test_non_finite_branch_is_rejected(self, branch):
+        with pytest.raises(ValueError, match="start_branch_im must be finite"):
+            lift_log(validate_path([2.0, 2j]), branch)
+
     def test_exp_inverts_lift(self):
         path = validate_path([0.5, 1j, -2.0, -0.5 - 0.5j, 3.0])
         lift = lift_log(path)
