@@ -268,7 +268,7 @@ class ConformalMap:
         """Germ at center of h(psi(log z)) on the log branch whose value at
         center is lift: h-germ composed with (local map model at lift
         composed with the log germ), at DEFAULT_ORDER.  The map keeps no
-        germ: a route's steps are kept by its spine (engine._SpineSteps)."""
+        germ: a route's steps are kept by its spine (monodromy._Spine)."""
         mid = compose_log(self.local_model(lift), center)
         return compose(h_germ(mid.coeffs[0]), mid)
 

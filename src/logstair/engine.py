@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
-from .paths import PathPolyline, lift_point
+from .paths import PathPolyline, _chord_lift, lift_point
 from .series import Germ, log_germ
 from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
 
@@ -98,34 +98,15 @@ def _step(path: PathPolyline, i: int, center: complex, cap: float):
     return len(pts) - 1, cum[-1], path.end, lifted[-1]
 
 
-class _SpineSteps:
-    """The only store of refreshed germs: the chain the engine has stepped
-    along a route spine's vertices, points (which only grow by append), for
-    the last (start germ, hook) pair that stepped there, as key.  Each step
-    (j, s, center, lift, germ) is _step's result and the refreshed germ, or
-    the reason a refresh failed, which ends the chain.  A step with j + 1 <=
-    n - 1 reads no vertex past the spine's first n, so every path that
-    shares those replays it.  The stores, the spine cache and the spines'
-    certified prefixes are read and written holding _route_lock, the
-    package's one lock, and a chain holds it from its first step to its
-    last, so chains that run at once refresh each kept step once.  The lock
-    is re-entrant: a hook may route or continue a germ inside its chain."""
-
-    def __init__(self, points: list):
-        self.points = points
-        self.key = None
-        self.steps = []
+_route_lock = threading.RLock()  # the package's one lock (see monodromy._Spine)
 
 
-_route_lock = threading.RLock()  # the package's one lock (see _SpineSteps)
-
-
-def _handed_over(stores, key, k: int, points: tuple):
-    """Step k of the chain keyed key from the first store in stores that
-    holds it on a prefix of points: the store's vertices up to the step's
-    far one, j + 1, are points' (None if no store does).  The caller holds
-    _route_lock."""
-    for other in stores:
+def _handed_over(spines, key, k: int, points: tuple):
+    """Step k of the chain keyed key from the first route spine in spines
+    that keeps it on a prefix of points: the spine's vertices up to the
+    step's far one, j + 1, are points' (None if no spine does).  The caller
+    holds _route_lock."""
+    for other in spines:
         step = other.steps[k] if other.key == key and k < len(other.steps) else None
         if step is not None and list(points[: step[0] + 2]) == other.points[: step[0] + 2]:
             return step
@@ -157,25 +138,25 @@ def continue_along(
     LogstairError (ModelUnresolved, for one); t_fail is the furthest
     parameter reached.
 
-    A route from monodromy carries its own spine's step store (_SpineSteps)
-    with the spine cache's list of the kept spines' stores, which holds
-    those of spines kept after the route was built too, and how many of its
-    leading vertices are its spine's, n.  A chain keyed like a store, by
-    (start, refresh) with the default hook as None, first replays the steps
-    its spine's store keeps that read no vertex past the first n
-    (j + 1 <= n - 1), a prefix of the store since j never decreases.  The
-    replay relies on how a store grows: only chains of its key append to
-    it, each from the same start germ through the steps before, so every
+    A route from monodromy carries its own spine (monodromy._Spine), with
+    the steps it keeps and their key, and a live view of the spine cache's
+    kept spines, which shows those kept after the route was built too, and
+    how many of its leading vertices are its spine's, n.  A chain keyed like
+    its spine's steps, by (start, refresh) with the default hook as None,
+    first replays the kept steps that read no vertex past the first n
+    (j + 1 <= n - 1), a prefix of them since j never decreases.  The replay
+    relies on how a spine's steps grow: only chains of its key append to
+    them, each from the same start germ through the steps before, so every
     kept step passed the radius floor and MAX_STEPS on the germ before it.
     It checks only what this path's own length changes: t, the step's arc
     length over that length, must increase (and a step at t = 1 ends it),
     and a kept failure ends the chain with its reason.  The loop then
     checks the floor and MAX_STEPS on the germ the replay ended on, as on
     the start germ when nothing was replayed.  On the spine past its own
-    store a chain takes each step from a kept store whose vertices up to
-    the step's far one are the route's; past them it steps and refreshes.
-    Its spine's store keeps each step it takes on the spine, a failed
-    refresh as its reason, when the step is the chain's first or the store
+    kept steps a chain takes each step from a kept spine whose vertices up
+    to the step's far one are the route's; past them it steps and
+    refreshes.  Its spine keeps each step it takes on the spine, a failed
+    refresh as its reason, when the step is the chain's first or the spine
     holds the chain's key, so each is refreshed once per (start, refresh).
     The chain holds _route_lock from its first step to its last, so chains
     that run at once take turns, and every exit releases it.
@@ -195,7 +176,7 @@ def continue_along(
         refresh = lambda center, lift, prev: log_germ(
             center, prev.eval(center).imag, order
         )
-    own, stores = path._steps or (None, ())
+    own, spines = path._steps or (None, ())
     on_spine = path._shared - 1  # j < on_spine: j + 1 <= n - 1
     last, total = len(path.points) - 1, path.total_length
     elements = [start]
@@ -231,7 +212,7 @@ def continue_along(
                 return _failed(f"exceeded {MAX_STEPS} steps")
             k = len(breaks) - 1
             new = k >= len(kept)
-            step = _handed_over(stores, key, k, path.points) if new and i < on_spine else None
+            step = _handed_over(spines, key, k, path.points) if new and i < on_spine else None
             if step is not None and step[0] < on_spine:
                 j, s, center, lift, g_next = step
             else:
@@ -306,7 +287,8 @@ def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom
     at a and lift_b at b, first leaves the staircase interior, or None if it
     stays inside.
 
-    The lift is sampled at ~0.005 increments of lift arc length; the first
+    The lift is sampled at ~0.005 increments of lift arc length (by the
+    lift paths._chord_lift picks for the chord); the first
     non-interior sample is sharpened by bisection and the fraction nudged just
     past the flip, so it stays non-interior under recomputation.
 
@@ -337,7 +319,8 @@ def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom
     well, since rounding is, so a cleared chord is one on which sampling
     would have returned None: every verdict and exit is the sampled one."""
     d = b - a
-    arc_bound = abs(d) / _seg_dist(0j, a, b)
+    dist = _seg_dist(0j, a, b)
+    arc_bound = abs(d) / dist
     theta_a = lift_a.imag
     margin = 1e-12 * (1.0 + arc_bound) * (1.0 + abs(lift_a.imag) + abs(lift_b.imag))
     worst = complex(
@@ -346,16 +329,17 @@ def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom
     if in_interior(worst, geom_tol):
         return None
     n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
+    lift = _chord_lift(a, b, dist)
     s_prev = 0.0
     for j in range(1, n_sub + 1):
         s_bad = j / n_sub
-        if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
+        if in_interior(lift(a, theta_a, a + s_bad * d), geom_tol):
             s_prev = s_bad
             continue
         lo, hi = s_prev, s_bad
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
+            if in_interior(lift(a, theta_a, a + mid * d), geom_tol):
                 lo = mid
             else:
                 hi = mid

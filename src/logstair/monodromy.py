@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .engine import ContinuationChain, _SpineSteps, continuable_exact, continue_along
-from .engine import _route_lock
+from .engine import ContinuationChain, _route_lock, continuable_exact, continue_along
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, _extend, validate_path
 from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
@@ -45,6 +44,7 @@ from .staircase import (
     column,
     corner_at,
     in_interior,
+    on_circle,
     slit_contains,
 )
 
@@ -192,10 +192,19 @@ class _Spine:
     to the open leg's k-th multiple of EXP_STEP, certified, how many
     leading segments the exact oracle has found interior at GEOM_TOL (none
     until its first route is certified; the only record of the oracle's
-    work that routes share), and steps, the chain the engine has stepped
-    along its vertices for the last (start germ, hook) pair that ran there
-    (engine._SpineSteps), which routes on other spines that share its first
-    vertices take steps from."""
+    work that routes share), and steps, the only store of refreshed germs:
+    the chain the engine has stepped along its vertices for the last
+    (start germ, hook) pair that ran there, key.  Each step (j, s, center,
+    lift, germ) is engine._step's result and the refreshed germ, or the
+    reason a refresh failed, which ends the chain; a step with
+    j + 1 <= n - 1 reads no vertex past the first n, so every route that
+    shares those replays it, and routes on other spines take steps from it
+    (see engine.continue_along).  The spine cache, the spines' steps and
+    their certified prefixes are read and written holding
+    engine._route_lock, the package's one lock, and a chain holds it from
+    its first step to its last, so chains that run at once refresh each
+    kept step once.  The lock is re-entrant: a hook may route or continue a
+    germ inside its chain."""
 
     def __init__(self, waypoints: tuple, unit: complex):
         self.start, self.unit = waypoints[-1], unit
@@ -206,7 +215,7 @@ class _Spine:
         _extend(self.points, self.cum, self.lifted, out)
         self.marks = [len(self.points)]
         self.certified = 0
-        self.steps = _SpineSteps(self.points)
+        self.key, self.steps = None, []
 
     def prefix(self, length: float) -> int:
         """The number of vertices an open leg of `length` takes from the
@@ -222,50 +231,47 @@ class _Spine:
 
 class _SpineCache(OrderedDict):
     """Spines by their waypoints and direction, each set once, least
-    recently used first, with the chord vertices they hold (vertices) and
-    their step stores (stores, one list in the order the spines were set),
+    recently used first, with the chord vertices they hold (vertices),
     which __setitem__, popitem and clear keep; a caller that grows a kept
     spine adds the vertices it appends to vertices."""
 
     def __init__(self):
-        self.vertices, self.stores = 0, []
+        self.vertices = 0
         super().__init__()
 
     def __setitem__(self, key, spine):
         super().__setitem__(key, spine)
         self.vertices += len(spine.points)
-        self.stores.append(spine.steps)
 
     def popitem(self, last=True):
         key, spine = super().popitem(last)
         self.vertices -= len(spine.points)
-        self.stores.remove(spine.steps)
         return key, spine
 
     def clear(self):
         super().clear()
-        self.vertices, self.stores[:] = 0, []
+        self.vertices = 0
 
 
 # The kept spines, least recently used dropped first while they hold more
 # than SPINE_VERTICES chord vertices (about 120 bytes each) and the engine
 # steps kept along them, the only refreshed germs kept; the benchmark's sweep
-# routes through 7 spines of 762 vertices, whose stores hold 382 steps, 151
-# distinct germs (a step taken from another spine's store is shared), and
-# end on a failed refresh on four spines; its oracle workload keeps 27
-# spines of 2,864 vertices after 2,000 route operations (seed 2401).
+# routes through 7 spines of 762 vertices, which keep 382 steps, 151
+# distinct germs (a step taken from another spine is shared), and end on a
+# failed refresh on four spines; its oracle workload keeps 27 spines of
+# 2,864 vertices after 2,000 route operations (seed 2401).
 # A route finds, grows and evicts spines holding engine._route_lock.
 SPINE_VERTICES = 16384
 _spines = _SpineCache()
 
 
-def _route(target: complex):
-    """(path, spine, n): the exponential of the route to `target`, whose
-    first n vertices are its spine's, with their lengths, lifts and engine
-    steps, and which carries as _certified the spine's certified segments
-    among its first n - 1, and its own spine's step store with the cache's
-    list of the kept spines' stores, which later routes grow; only the rest
-    is cut, checked and lifted afresh."""
+def _route(target: complex) -> PathPolyline:
+    """The exponential of the route to `target`, whose first n vertices are
+    its spine's, with their lengths, lifts and engine steps.  It carries n
+    as _shared, the spine's certified segments among its first n - 1 as
+    _certified, and as _steps its own spine with a live view of the kept
+    spines, which later routes grow; only the rest is cut, checked and
+    lifted afresh."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -285,11 +291,10 @@ def _route(target: complex):
     out = pts[-1:]
     _cut(out, tail)
     _extend(pts, cum, lifted, out[1:])
-    path = PathPolyline(
+    return PathPolyline(
         tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1),
-        (spine.steps, _spines.stores), n,
+        (spine, _spines.values()), n,
     )
-    return path, spine, n
 
 
 def _path_to_lift(target: complex) -> PathPolyline:
@@ -299,13 +304,14 @@ def _path_to_lift(target: complex) -> PathPolyline:
     the segments past those its spine has certified, and certifies the
     spine's segments that the route takes; the route is returned with every
     segment certified, so the oracle on it again samples none."""
-    path, spine, n = _route(target)
+    path = _route(target)
     verdict = continuable_exact(path)
     if verdict.verdict != "continuable" or abs(verdict.lift_end - target) > 1e-7:
         raise RoutingFailure(
             f"routed path failed the oracle: {verdict.verdict}, "
             f"lift end {verdict.lift_end} vs target {target}"
         )
+    spine, n = path._steps[0], path._shared
     with _route_lock:
         spine.certified = max(spine.certified, n - 1)
     pts = path.points
@@ -338,7 +344,7 @@ def classify(omega, M: int, N: int) -> ClassificationReport:
     omega = complex(omega)
     if not slit_contains(omega, M):
         raise NotOnSlit(f"{omega} is not on the circle/segment pair of index {M}")
-    if abs(abs(omega) - math.exp(M)) < GEOM_TOL:
+    if on_circle(omega, M):
         a = cmath.phase(omega)
         arg0 = a if a < 0 else a - TWO_PI
         lift_end = complex(M, arg0 + TWO_PI * N)

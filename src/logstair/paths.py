@@ -13,6 +13,7 @@ import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable
 
 from .errors import EmptyPath, SegmentThroughOrigin
@@ -40,10 +41,10 @@ class PathPolyline:
     monodromy also carries how many of its leading segments the exact oracle
     has found interior at GEOM_TOL already (see engine.continuable_exact):
     its spine's certified prefix, or every segment once reach_path or
-    classify has certified it.  It carries as well its own spine's engine
-    step store with the spine cache's list of the kept spines' stores, and
-    the number of its leading vertices that are its spine's (see
-    engine.continue_along)."""
+    classify has certified it.  It carries as well its own spine, which
+    keeps the engine's steps along it, with a live view of the spine
+    cache's kept spines, and the number of its leading vertices that are
+    its spine's (see engine.continue_along)."""
 
     points: tuple
     _cumlen: tuple = field(repr=False, compare=False)
@@ -143,7 +144,8 @@ def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
             raise SegmentThroughOrigin(max(i - 1, 0))
     joined = pts[-1:] + new
     for i in range(len(joined) - 1):
-        if _seg_dist(0j, joined[i], joined[i + 1]) <= 0.0:
+        a, b = joined[i], joined[i + 1]
+        if _seg_dist(0j, a, b) <= 0.0 or _through_origin(a, b):
             raise SegmentThroughOrigin(max(len(pts) - 1, 0) + i)
     for p in new:
         if pts:
@@ -155,6 +157,35 @@ def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
         pts.append(p)
 
 
+def _through_origin(a: complex, b: complex) -> bool:
+    """True iff the segment between the nonzero a and b passes through 0,
+    exactly: its ends lie on opposite rays from 0, cross(a, b) = 0 >
+    dot(a, b).  Then neither a.real * b.real nor a.imag * b.imag is
+    positive, in floats too, since rounding keeps a product's sign; that
+    rules out most segments.  Float cross products rule out more, as they
+    are and with each end scaled by _unit, which moves no direction, and
+    Fractions decide the rest.  _seg_dist misses such segments when
+    |b - a|^2 overflows or rounding moves its nearest point off 0."""
+    if a.real * b.real > 0.0 or a.imag * b.imag > 0.0:
+        return False
+    if not (_may_be_collinear(a, b) and _may_be_collinear(_unit(a), _unit(b))):
+        return False
+    ar, ai, br, bi = map(Fraction, (a.real, a.imag, b.real, b.imag))
+    return ar * bi == ai * br and ar * br + ai * bi < 0
+
+
+def _may_be_collinear(a: complex, b: complex) -> bool:
+    """False when the float cross product of a and b is further from 0
+    than its rounding error, 1e-15 times its two terms' moduli plus 1e-300
+    for underflow (a term that overflows rules out nothing)."""
+    p, q = a.real * b.imag, a.imag * b.real
+    return not abs(p - q) > 1e-15 * (abs(p) + abs(q)) + 1e-300
+
+
+# The moduli whose quotients lift_point forms as they are: 2^-500 and 2^500.
+_TINY, _HUGE = 2.0**-500, 2.0**500
+
+
 def lift_point(a: complex, theta_a: float, z: complex) -> complex:
     """Lift of a point z on a segment from the vertex a, whose lift has
     imaginary part theta_a: log|z| + i(theta_a + Arg(z/a)).
@@ -164,8 +195,38 @@ def lift_point(a: complex, theta_a: float, z: complex) -> complex:
     sweep is monotone; its magnitude (the angle the segment subtends at 0) is
     below pi whenever the segment misses 0.  The principal argument of z/a is
     therefore the sweep from a to z exactly -- no subdivision is ever needed.
+
+    While both moduli lie in [_TINY, _HUGE] the quotient is formed as it
+    is, bit for bit as _lift_unscaled forms it: it neither overflows nor
+    rounds at subnormal quanta.  Outside, z / a would do one or the other,
+    so each is first scaled by a power of two to a modulus near 1 (_unit),
+    which leaves the argument unchanged.
     """
+    r = abs(z)
+    q = z / a if _TINY < r < _HUGE and _TINY < abs(a) < _HUGE else _unit(z) / _unit(a)
+    return complex(math.log(r), theta_a + cmath.phase(q))
+
+
+def _lift_unscaled(a: complex, theta_a: float, z: complex) -> complex:
+    """lift_point(a, theta_a, z) for a and z of moduli in [_TINY, _HUGE]."""
     return complex(math.log(abs(z)), theta_a + cmath.phase(z / a))
+
+
+def _chord_lift(a: complex, b: complex, dist: float):
+    """The lift for points on the chord from a to b, which passes dist
+    from 0: _lift_unscaled when every point's modulus and a's lie in
+    [_TINY, _HUGE], so that a caller sampling the chord pays no range test
+    per point, else lift_point."""
+    if _TINY < dist and abs(a) < _HUGE and abs(b) < _HUGE:
+        return _lift_unscaled
+    return lift_point
+
+
+def _unit(z: complex) -> complex:
+    """z scaled by the power of two that brings its larger part into
+    [1/2, 1): exact, but for the bits of a part too small to keep them."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
 
 
 def _start_lift(p: complex, start_branch_im: float) -> complex:

@@ -136,15 +136,24 @@ class Truncation:
         )
 
 
+def on_circle(omega: complex, M: int) -> bool:
+    """True iff the nonzero omega lies within GEOM_TOL of the circle of
+    radius e^M in log space, |ln|omega| - M| < GEOM_TOL: the same test at
+    every scale, with no e^M to overflow."""
+    return abs(math.log(abs(omega)) - M) < GEOM_TOL
+
+
 def slit_contains(omega: complex, M: int) -> bool:
-    """True iff omega lies within GEOM_TOL of the circle of radius e^M or of
-    the segment [e^(M-1), e^M]."""
+    """True iff omega lies within GEOM_TOL, in log space, of the circle of
+    radius e^M or of the segment [e^(M-1), e^M]: on_circle, or an argument
+    within GEOM_TOL of 0 (|Im| < GEOM_TOL Re) and ln(Re omega) within
+    GEOM_TOL of [M - 1, M]."""
     if omega == 0:
         return False
-    if abs(abs(omega) - math.exp(M)) < GEOM_TOL:
+    if on_circle(omega, M):
         return True
-    if abs(omega.imag) < GEOM_TOL:
-        return math.exp(M - 1) - GEOM_TOL <= omega.real <= math.exp(M) + GEOM_TOL
+    if abs(omega.imag) < GEOM_TOL * omega.real:
+        return M - 1 - GEOM_TOL <= math.log(omega.real) <= M + GEOM_TOL
     return False
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import logstair.monodromy as monodromy
 from logstair.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +49,13 @@ class TestWind:
         code, out, _ = run(capsys, "wind", "--path", loop_file)
         assert code == 0
         assert out == "W=1\n"
+
+    def test_a_segment_through_origin_is_domain_error(self, capsys, tmp_path):
+        path = write_path(tmp_path, "far.json", [0.5, 1e200, -1e200])
+        code, out, err = run(capsys, "wind", "--path", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: SegmentThroughOrigin")
 
     def test_branch_flag_is_rejected(self, capsys, loop_file):
         # the winding number does not depend on the starting branch, so wind
@@ -210,6 +218,12 @@ class TestClassify:
         assert code == 1
         assert "error:" in err
 
+    def test_a_far_slit_index_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--omega=2", "--m=1000", "--n=1001")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: NotOnSlit")
+
     def test_bad_omega_is_usage_error(self, capsys):
         code, _, err = run(capsys, "classify", "--omega", "nope", "--m", "0", "--n", "0")
         assert code == 2
@@ -232,6 +246,11 @@ class TestTable:
         _, first, _ = run(capsys, *self.ARGS)
         _, second, _ = run(capsys, *self.ARGS)
         assert first == second
+
+    def test_far_slits_pass(self, capsys):
+        code, out, _ = run(capsys, "table", "--m-range=18:20")
+        assert code == 0
+        assert out.splitlines()[-1] == "theorem_b: PASS"
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "table", "--m-range", "q:1")
@@ -266,6 +285,12 @@ class TestReach:
         code, out, _ = run(capsys, "reach", "--omega", f"{-math.e**3}")
         assert code == 0
         assert out.splitlines()[-1] == "W=3"
+
+    def test_subnormal_target_winds(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
+        code, out, _ = run(capsys, "reach", "--omega=1e-315", "--out", str(tmp_path / "r.json"))
+        assert code == 0
+        assert out == "W=-725\n"
 
     def test_origin_is_domain_error(self, capsys):
         code, _, err = run(capsys, "reach", "--omega", "0")

@@ -504,8 +504,8 @@ def test_certified_prefix_keeps_every_verdict(shape, end_column):
         if kind == "route":
             omega = arg[0] * cmath.exp(1j * arg[1])
             reach_path(omega)  # certifies the route's spine
-            path, _, n = monodromy._route(choose_lift_target(omega))
-            assert path._certified == n - 1
+            path = monodromy._route(choose_lift_target(omega))
+            assert path._certified == path._shared - 1
         else:
             path = validate_path([0.5] + [r * cmath.exp(1j * a) for r, a in arg])
         if end_column is not None:

@@ -98,6 +98,16 @@ class TestClassify:
         assert abs(witness.end + E2) < 1e-9
         assert classify(-E2, 2, 2).witness_path is None and len(routed) == 1
 
+    def test_slit_membership_holds_at_every_scale(self):
+        # the slit is tested in log space: far off it at e^-40, on it at
+        # e^20, and with no e^M to overflow at M = 1000
+        for omega, M in [(-5e-10, -40), (complex(math.exp(-40.5), 1e-10), -40), (2.0, 1000)]:
+            with pytest.raises(NotOnSlit):
+                classify(omega, M, M + 1)
+        r = classify(cmath.exp(20 - 1j), 20, 21)
+        assert r.verdict == "continuable"
+        assert r.lift_end == complex(20.0, TWO_PI * 21 - 1.0)
+
     def test_witness_passes_oracle(self):
         for omega, M, N in [(-E2, 2, 3), (0.6, 0, 1), (1j, 0, 2), (-math.exp(-2), -2, 0)]:
             r = classify(omega, M, N)
@@ -125,6 +135,10 @@ class TestTruthTable:
         tab = truth_table(range(-1, 2), [0], 4)
         assert all(r.verdict == "blocked" for r in tab.rows)
         assert tab.theorem_b_pass
+
+    @pytest.mark.parametrize("m_range", [range(18, 21), range(-60, -39)])
+    def test_far_slits_follow_the_dichotomy(self, m_range):
+        assert truth_table(m_range, [0, 1, 2], 8).theorem_b_pass
 
     def test_rejects_empty_ranges(self):
         with pytest.raises(ValueError, match="m_range"):
@@ -170,6 +184,17 @@ class TestReachPath:
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="omega must be nonzero"):
             reach_path(0.0)
+
+    @pytest.mark.parametrize(
+        "omega, W",
+        [(1e-315, -725), (-1e-320, -737), (1e-318, -732), (1e308j, 709), (1.5e308, 710)],
+    )
+    def test_targets_at_both_ends_of_the_double_range(self, cold_spines, omega, W):
+        # subnormal targets, whose corridors hold about 45,000 vertices,
+        # and targets near overflow are routed and certified
+        path = reach_path(omega)
+        assert winding_number(path) == W
+        assert abs(path.end - omega) <= 1e-12 * abs(omega)
 
 
 def _route_lift_reference(target: complex):
@@ -298,7 +323,7 @@ class TestExpPath:
     @settings(max_examples=300, deadline=None)
     def test_chords_run_on_each_legs_grid(self, target):
         pts = _waypoints(target)
-        path = monodromy._route(target)[0]
+        path = monodromy._route(target)
         assert all(p != q for p, q in zip(path.points, path.points[1:]))
         lifted = path._lift
         assert len(lifted) == len(_chord_grid(pts))
@@ -320,8 +345,8 @@ class TestExpPath:
         # the route to `near` leaves its last shared waypoint along the
         # route to `far`; both paths are equal vertex for vertex up to the
         # end of that leg on `near`'s route
-        p_near = monodromy._route(near)[0]
-        p_far = monodromy._route(far)[0]
+        p_near = monodromy._route(near)
+        p_far = monodromy._route(far)
         n = next(k for k, (a, b) in enumerate(zip(p_near.points, p_far.points)) if a != b)
         assert abs(p_near._lift[n] - _waypoints(near)[-2]) < 1e-12
         assert n > 20
@@ -432,8 +457,8 @@ class TestSpines:
             monodromy._path_to_lift(target)
         except RoutingFailure:
             assume(False)
-        path, _, n = monodromy._route(target)
-        assert path._certified == n - 1
+        path = monodromy._route(target)
+        assert path._certified == path._shared - 1
         for geom_tol in (GEOM_TOL, 1e-6):
             full = continuable_exact(validate_path(path.points), geom_tol)
             assert continuable_exact(path, geom_tol) == full
@@ -446,7 +471,7 @@ class TestSpines:
         sampled.clear()
         omega = cmath.exp(complex(0.8, 3.0))
         path = reach_path(omega)
-        k = monodromy._route(choose_lift_target(omega))[2] - 1  # the spine's share
+        k = monodromy._route(choose_lift_target(omega))._shared - 1  # the spine's share
         assert abs(path._lift[k] - complex(0.5, 0.05 + 29 * monodromy.EXP_STEP)) < 1e-12
         assert sampled == _segments(path, k)
         assert len(sampled) == 4  # the corridor's last chord, three level ones
@@ -458,7 +483,7 @@ class TestSpines:
         sampled.clear()
         row = classify(E2 * cmath.exp(2j), 2, 3)
         low = row.witness_path
-        k = monodromy._route(row.lift_end)[2] - 1  # the spine's share
+        k = monodromy._route(row.lift_end)._shared - 1  # the spine's share
         assert low.points[: k + 1] == high.points[: k + 1]
         assert sampled == _segments(low, k) and len(sampled) == 1
 
@@ -475,13 +500,14 @@ class TestSpines:
             held = sum(len(s.points) for s in spines.values())
             assert held <= 300 or len(spines) == 1
             # the cache counts what it holds, and the route carries its own
-            # spine's store (the most recently used) and the cache's list of
-            # every kept spine's store and no other
+            # spine (the most recently used) and a live view of every kept
+            # spine and no other
             assert spines.vertices == held
-            own, stores = path._steps
-            assert own is next(reversed(spines.values())).steps
-            assert stores is spines.stores
-            assert set(stores) == {s.steps for s in spines.values()}
+            own, kept = path._steps
+            assert own is next(reversed(spines.values()))
+            assert list(kept) == list(spines.values())
+        spines.clear()
+        assert not list(kept)
 
 
     def test_threads_build_the_same_paths(self, cold_spines):
@@ -554,7 +580,7 @@ class TestSpineChains:
                         plain[path.points] = _chain_bits(continue_along(start, bare, refresh))
                     assert _chain_bits(chain) == plain[path.points]
         # the spines kept steps, which the later routes resumed
-        assert any(s.steps.steps for s in cold_spines._spines.values())
+        assert any(s.steps for s in cold_spines._spines.values())
 
     def test_two_maps_alternate_on_one_spine(self, cold_spines, default_cmap):
         other = build_map(Truncation(-1, 2, 8 * math.pi), 256)
@@ -767,7 +793,7 @@ class TestSpineChains:
         assert on > 100 and off > 10
         # the lone pass took steps from other spines' stores: a step taken
         # is kept by the taker too, so one germ object sits in two stores
-        held = [id(step[4]) for s in cold_spines._spines.values() for step in s.steps.steps]
+        held = [id(step[4]) for s in cold_spines._spines.values() for step in s.steps]
         assert len(set(held)) < len(held)
         cold_spines._spines.clear()
         paths = [_pinned_path(q) for q in PINNED_ROUTES]

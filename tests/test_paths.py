@@ -81,6 +81,17 @@ class TestLift:
         # same modulus at both ends
         assert lift.points[-1].real == pytest.approx(lift.points[0].real, abs=1e-12)
 
+    @pytest.mark.parametrize("radius", [1e-315, 1e-320, 1e300, 1.5e308])
+    def test_vertex_lifts_are_exact_at_both_ends_of_the_double_range(self, radius):
+        # z / a rounds at subnormal quanta or overflows out here; the lift
+        # of each vertex is still its own argument plus whole turns
+        path = circle_loop(3, radius)
+        for p, z in zip(path.points, path._lift):
+            turns = (z.imag - cmath.phase(p)) / TWO_PI
+            assert abs(turns - round(turns)) < 1e-12
+            assert z.real == math.log(abs(p))
+        assert winding_number(path) == 3
+
     def test_imaginary_part_is_continuous(self):
         # jumps between consecutive lift points stay below pi even though the
         # path itself crosses the negative real axis
@@ -108,6 +119,32 @@ class TestValidation:
         with pytest.raises(SegmentThroughOrigin) as exc:
             validate_path([1.0, 1 + 1j, -1 - 1j])
         assert exc.value.segment_index == 1
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [0.5, 1e200, -1e200],  # |b - a|^2 overflows in _seg_dist
+            [0.5, 1e200j, -1e200j],
+            [0.5, 0.1 + 0.3j, -0.2 - 0.6j],  # -2a exactly; rounding misses 0
+            [0.5, 1e300 + 1e-300j, -1e300 - 1e-300j],
+        ],
+    )
+    def test_a_segment_through_origin_is_rejected_at_every_scale(self, points):
+        with pytest.raises(SegmentThroughOrigin) as exc:
+            validate_path(points)
+        assert exc.value.segment_index == 1
+
+    def test_a_segment_beside_origin_is_kept_at_every_scale(self):
+        for points in (
+            [0.5, 1 + 1j, -1 - 1.0000001j],
+            [0.5, 1e200, -1e200 + 1e190j],
+            [0.5, 1e300 + 1e-300j, -1e300 - 2e-300j],
+        ):
+            assert validate_path(points).points == tuple(complex(p) for p in points)
+        # rounding puts 0 on this segment; accepting it would hand the
+        # oracle a zero distance to 0
+        with pytest.raises(SegmentThroughOrigin):
+            validate_path([0.5, 1e-20])
 
     def test_non_finite_point(self):
         with pytest.raises(ValueError):

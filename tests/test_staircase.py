@@ -90,6 +90,15 @@ class TestSlits:
     def test_zero_rejected(self):
         assert not slit_contains(0j, 0)
 
+    def test_every_scale(self):
+        # the circle and the segment are tested in log space
+        assert not slit_contains(-5e-10, -40)
+        assert not slit_contains(complex(math.exp(-40.5), 1e-10), -40)
+        assert slit_contains(math.exp(-40.5), -40)
+        assert slit_contains(cmath.exp(20 - 1j), 20)
+        assert slit_contains(math.exp(19.5) * cmath.exp(1e-12j), 20)
+        assert not slit_contains(2.0, 1000)
+
 
 class TestLiftTarget:
     def test_upper_half(self):
