@@ -229,40 +229,17 @@ class _Spine:
         return self.marks[k]
 
 
-class _SpineCache(OrderedDict):
-    """Spines by their waypoints and direction, each set once, least
-    recently used first, with the chord vertices they hold (vertices),
-    which __setitem__, popitem and clear keep; a caller that grows a kept
-    spine adds the vertices it appends to vertices."""
-
-    def __init__(self):
-        self.vertices = 0
-        super().__init__()
-
-    def __setitem__(self, key, spine):
-        super().__setitem__(key, spine)
-        self.vertices += len(spine.points)
-
-    def popitem(self, last=True):
-        key, spine = super().popitem(last)
-        self.vertices -= len(spine.points)
-        return key, spine
-
-    def clear(self):
-        super().clear()
-        self.vertices = 0
-
-
-# The kept spines, least recently used dropped first while they hold more
-# than SPINE_VERTICES chord vertices (about 120 bytes each) and the engine
-# steps kept along them, the only refreshed germs kept; the benchmark's sweep
-# routes through 7 spines of 762 vertices, which keep 382 steps, 151
-# distinct germs (a step taken from another spine is shared), and end on a
-# failed refresh on four spines; its oracle workload keeps 27 spines of
-# 2,864 vertices after 2,000 route operations (seed 2401).
-# A route finds, grows and evicts spines holding engine._route_lock.
+# The kept spines, least recently used first.  Only a route that adds or
+# grows a spine can raise their chord vertices (about 120 bytes each, with
+# the engine steps kept along them, the only refreshed germs kept); it sums
+# them and drops the least recently used while more than one is kept and
+# they hold more than SPINE_VERTICES.  Seed 1 of the benchmark: 400 sweep
+# operations route 400 times, 21 adding or growing one of 7 spines of 762
+# vertices, which keep 383 steps and end on a failed refresh on four; 2,000
+# oracle operations route 499 times, 66 adding or growing one of 27 spines
+# of 2,831 vertices.  A route reads and writes them holding _route_lock.
 SPINE_VERTICES = 16384
-_spines = _SpineCache()
+_spines = OrderedDict()
 
 
 def _route(target: complex) -> PathPolyline:
@@ -271,7 +248,7 @@ def _route(target: complex) -> PathPolyline:
     as _shared, the spine's certified segments among its first n - 1 as
     _certified, and as _steps its own spine with a live view of the kept
     spines, which later routes grow; only the rest is cut, checked and
-    lifted afresh."""
+    lifted afresh.  Only a route that adds or grows its spine evicts."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -279,14 +256,16 @@ def _route(target: complex) -> PathPolyline:
     with _route_lock:
         spine = _spines.get(key)
         if spine is None:
-            spine = _spines[key] = _Spine(waypoints, unit)
+            spine, held = _Spine(waypoints, unit), 0
+            _spines[key] = spine
         else:
             _spines.move_to_end(key)
-        held = len(spine.points)
+            held = len(spine.points)
         n = spine.prefix(length)
-        _spines.vertices += len(spine.points) - held
-        while len(_spines) > 1 and _spines.vertices > SPINE_VERTICES:
-            _spines.popitem(last=False)
+        if len(spine.points) > held:
+            kept = sum(len(s.points) for s in _spines.values())
+            while len(_spines) > 1 and kept > SPINE_VERTICES:
+                kept -= len(_spines.popitem(last=False)[1].points)
     pts, cum, lifted = spine.points[:n], spine.cum[:n], spine.lifted[:n]
     out = pts[-1:]
     _cut(out, tail)

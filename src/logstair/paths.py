@@ -135,21 +135,37 @@ def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
     none), their cumulative chord lengths to cum and their log lifts (start
     branch 0) to lifted.  The new points are checked as validate_path checks
     a path, every point before any segment, and a failed check raises
-    before anything is appended."""
+    before anything is appended: ValueError for a point that is not finite,
+    or whose modulus or the length of whose segment exceeds the largest
+    double, and SegmentThroughOrigin.  The sum of the lengths may overflow
+    (a route around 0 at |z| near 1e308)."""
     new = [_as_complex(p) for p in new]
     for i, p in enumerate(new, len(pts)):
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise ValueError(f"point {i} is not finite: {p}")
         if p == 0:
             raise SegmentThroughOrigin(max(i - 1, 0))
+        try:
+            abs(p)
+        except OverflowError:
+            raise ValueError(f"point {i}'s modulus exceeds the largest double: {p}") from None
     joined = pts[-1:] + new
+    lengths = []
     for i in range(len(joined) - 1):
         a, b = joined[i], joined[i + 1]
         if _seg_dist(0j, a, b) <= 0.0 or _through_origin(a, b):
             raise SegmentThroughOrigin(max(len(pts) - 1, 0) + i)
+        try:
+            lengths.append(abs(b - a))
+        except OverflowError:
+            lengths.append(math.inf)
+    if math.inf in lengths:
+        i = max(len(pts) - 1, 0) + lengths.index(math.inf)
+        raise ValueError(f"segment {i}'s length exceeds the largest double")
+    lengths = iter(lengths)
     for p in new:
         if pts:
-            cum.append(cum[-1] + abs(p - pts[-1]))
+            cum.append(cum[-1] + next(lengths))
             lifted.append(lift_point(pts[-1], lifted[-1].imag, p))
         else:
             cum.append(0.0)

@@ -136,11 +136,20 @@ class Truncation:
         )
 
 
+def _log_modulus(omega: complex) -> float:
+    """ln|omega| for a nonzero omega; ValueError when |omega| exceeds the
+    largest double."""
+    try:
+        return math.log(abs(omega))
+    except OverflowError:
+        raise ValueError(f"|omega| exceeds the largest double, got {omega}") from None
+
+
 def on_circle(omega: complex, M: int) -> bool:
     """True iff the nonzero omega lies within GEOM_TOL of the circle of
     radius e^M in log space, |ln|omega| - M| < GEOM_TOL: the same test at
-    every scale, with no e^M to overflow."""
-    return abs(math.log(abs(omega)) - M) < GEOM_TOL
+    every scale, with no e^M to overflow (see _log_modulus)."""
+    return abs(_log_modulus(omega) - M) < GEOM_TOL
 
 
 def slit_contains(omega: complex, M: int) -> bool:
@@ -170,10 +179,7 @@ def choose_lift_target(omega: complex) -> complex:
         raise ValueError("omega must be nonzero")
     if not cmath.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    try:
-        x = math.log(abs(omega))
-    except OverflowError:
-        raise ValueError(f"|omega| exceeds the largest double, got {omega}") from None
+    x = _log_modulus(omega)
     a = cmath.phase(omega)
     if a <= -math.pi + 1e-15:  # phase returns (-pi, pi]; normalize the seam
         a = math.pi

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import OrderedDict
 
 import pytest
 
@@ -56,6 +57,12 @@ class TestWind:
         assert code == 1
         assert out == ""
         assert err.startswith("error: SegmentThroughOrigin")
+
+    def test_a_modulus_past_the_largest_double_is_domain_error(self, capsys, tmp_path):
+        path = write_path(tmp_path, "huge.json", [0.5, 1.5e308 + 1.5e308j])
+        code, out, err = run(capsys, "wind", "--path", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: point 1's modulus exceeds") and "Traceback" not in err
 
     def test_branch_flag_is_rejected(self, capsys, loop_file):
         # the winding number does not depend on the starting branch, so wind
@@ -164,6 +171,12 @@ class TestOracle:
         assert grab(out, "verdict") == "blocked"
         assert grab(out, "first_exit_t") == "0.0"
 
+    def test_a_length_past_the_largest_double_is_domain_error(self, capsys, tmp_path):
+        path = write_path(tmp_path, "long.json", [0.5, 1e308 + 1e308j, -1e308 + 1e307j])
+        code, out, err = run(capsys, "oracle", "--path", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: segment 1's length exceeds") and "Traceback" not in err
+
     def test_zero_geom_tol_is_valid(self, capsys, tmp_path):
         path = write_path(tmp_path, "cross.json", [0.5, 2])
         code, out, _ = run(capsys, "oracle", "--path", path, "--geom-tol", "0")
@@ -223,6 +236,11 @@ class TestClassify:
         assert code == 1
         assert out == ""
         assert err.startswith("error: NotOnSlit")
+
+    def test_a_modulus_past_the_largest_double_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "classify", "--omega=1.5e308,1.5e308", "--m=710", "--n=711")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: |omega| exceeds") and "Traceback" not in err
 
     def test_bad_omega_is_usage_error(self, capsys):
         code, _, err = run(capsys, "classify", "--omega", "nope", "--m", "0", "--n", "0")
@@ -287,7 +305,7 @@ class TestReach:
         assert out.splitlines()[-1] == "W=3"
 
     def test_subnormal_target_winds(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
+        monkeypatch.setattr(monodromy, "_spines", OrderedDict())
         code, out, _ = run(capsys, "reach", "--omega=1e-315", "--out", str(tmp_path / "r.json"))
         assert code == 0
         assert out == "W=-725\n"

@@ -1,12 +1,13 @@
 import bisect
 import cmath
 import math
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logstair import engine, monodromy
+from logstair import engine, monodromy, paths
 from logstair import (
     CenterMismatch,
     FRefresh,
@@ -215,8 +216,30 @@ def segment_runs(monkeypatch):
         return inner(a, b, lift_a, lift_b, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
-    monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
+    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
     return runs
+
+
+def _exit_reference(a, b, theta_a, geom_tol):
+    """Reference for engine._segment_exit: the chord from a to b sampled
+    with lift_point at every sample, with no end-lift certificate."""
+    d = b - a
+    n_sub = max(1, math.ceil(abs(d) / _seg_dist(0j, a, b) / engine._ORACLE_ARC))
+    s_prev = 0.0
+    for j in range(1, n_sub + 1):
+        s_bad = j / n_sub
+        if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
+            s_prev = s_bad
+            continue
+        lo, hi = s_prev, s_bad
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
+                lo = mid
+            else:
+                hi = mid
+        return hi + (s_bad - hi) * 1e-6
+    return None
 
 
 def _oracle_reference(path, geom_tol=GEOM_TOL):
@@ -228,27 +251,12 @@ def _oracle_reference(path, geom_tol=GEOM_TOL):
     lift_end = lifted[-1]
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        d = b - a
-        seg = abs(d)
+        seg = abs(b - a)
         if seg == 0.0:
             continue
-        theta_a = lifted[i].imag
-        n_sub = max(1, math.ceil(seg / _seg_dist(0j, a, b) / engine._ORACLE_ARC))
-        s_prev = 0.0
-        for j in range(1, n_sub + 1):
-            s_bad = j / n_sub
-            if in_interior(lift_point(a, theta_a, a + s_bad * d), geom_tol):
-                s_prev = s_bad
-                continue
-            lo, hi = s_prev, s_bad
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if in_interior(lift_point(a, theta_a, a + mid * d), geom_tol):
-                    lo = mid
-                else:
-                    hi = mid
-            s_exit = hi + (s_bad - hi) * 1e-6
-            exit_zeta = lift_point(a, theta_a, a + s_exit * d)
+        s_exit = _exit_reference(a, b, lifted[i].imag, geom_tol)
+        if s_exit is not None:
+            exit_zeta = lift_point(a, lifted[i].imag, a + s_exit * (b - a))
             t_exit = (cum[i] + s_exit * seg) / path.total_length
             corner = corner_at(exit_zeta, 2.0 * geom_tol)
             terminal = corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
@@ -381,6 +389,44 @@ class TestEndLiftCertificate:
         assert v.verdict == "blocked"
         assert v.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert len(segment_runs) == 1 and len(interior_tests) == 2 + 200 + 60
+
+
+@pytest.mark.parametrize("c", [400, -400])
+class TestScaledLift:
+    """A chord with an end modulus outside [2^-500, 2^500] is sampled with
+    paths.lift_point, which scales both points to a modulus near 1 before
+    it divides them, as the reference lifts every sample.  Each chord runs
+    radially in the column c, whose ends lie e^400 or e^-400 from 0, and
+    neither is cleared by its end lifts: the continuable one runs 5e-9 above
+    the column's floor, inside the end lifts' rounding margin."""
+
+    @staticmethod
+    def _exit(monkeypatch, x_a, x_b, theta_a):
+        a, b = cmath.exp(complex(x_a, theta_a)), cmath.exp(complex(x_b, theta_a))
+        lift_a = complex(math.log(abs(a)), theta_a)
+        lift_b = lift_point(a, theta_a, b)
+        scaled = []
+
+        def counted(a, theta_a, z):
+            scaled.append(z)
+            return lift_point(a, theta_a, z)
+
+        monkeypatch.setattr(paths, "lift_point", counted)
+        s_exit = engine._segment_exit(a, b, lift_a, lift_b, GEOM_TOL)
+        assert scaled  # not cleared by its end lifts, and sampled with lift_point
+        want = _exit_reference(a, b, theta_a, GEOM_TOL)
+        assert repr(s_exit) == repr(want)
+        return s_exit, a, b
+
+    def test_a_continuable_chord(self, monkeypatch, c):
+        s_exit, _, _ = self._exit(monkeypatch, c + 0.2, c + 0.8, TWO_PI * c + 5e-9)
+        assert s_exit is None
+
+    def test_a_blocked_chord(self, monkeypatch, c):
+        # the lift runs 1 above the floor of column c and meets the riser
+        # of column c + 1
+        s_exit, a, b = self._exit(monkeypatch, c + 0.5, c + 1.5, TWO_PI * c + 1.0)
+        assert math.log(abs(a + s_exit * (b - a))) == pytest.approx(c + 1, abs=1e-6)
 
 
 def _handed_the_value(hook):

@@ -6,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -107,6 +108,10 @@ class TestClassify:
         r = classify(cmath.exp(20 - 1j), 20, 21)
         assert r.verdict == "continuable"
         assert r.lift_end == complex(20.0, TWO_PI * 21 - 1.0)
+
+    def test_a_modulus_past_the_largest_double_is_rejected(self):
+        with pytest.raises(ValueError, match="largest double"):
+            classify(complex(1.5e308, 1.5e308), 710, 711)
 
     def test_witness_passes_oracle(self):
         for omega, M, N in [(-E2, 2, 3), (0.6, 0, 1), (1j, 0, 2), (-math.exp(-2), -2, 0)]:
@@ -401,10 +406,27 @@ def _lock_is_free() -> bool:
     return taken == [True]
 
 
+BOUNDED_TARGETS = [cmath.exp(complex(x, a)) for x in (-1.6, -0.4, 0.5, 1.5, 2.5) for a in (-2.0, 2.0)]
+
+# The kept spines after each route of test_eviction_keeps_its_order, least
+# recently used first, each as "label:vertices", where a label numbers the
+# spines' keys in the order they first appear.  Recorded with the spine
+# cache that kept a running vertex count and tested it on every route.
+EVICTION_STATES = (
+    "0:92", "0:115", "0:115 1:22", "0:115 1:45", "0:115 1:45 2:56", "0:115 1:45 2:56",
+    "1:45 2:56 3:129", "1:45 2:56 3:129", "4:202", "4:202", "4:202 0:92", "0:115",
+    "0:115 1:22", "0:115 1:45", "0:115 1:45 2:56", "0:115 1:45 2:56",
+    "1:45 2:56 3:129", "1:45 2:56 3:129", "4:202", "4:202", "4:202 0:92", "0:115",
+    "0:115 1:22", "0:115 1:45", "0:115 1:45 2:56", "0:115 1:45 2:56",
+    "1:45 2:56 3:129", "1:45 2:56 3:129", "4:202", "4:202", "5:6700", "0:92", "5:6700",
+    "0:115",
+)
+
+
 @pytest.fixture
 def cold_spines(monkeypatch):
     """An empty spine cache, for this test alone."""
-    monkeypatch.setattr(monodromy, "_spines", monodromy._SpineCache())
+    monkeypatch.setattr(monodromy, "_spines", OrderedDict())
     return monodromy
 
 
@@ -488,7 +510,7 @@ class TestSpines:
         assert sampled == _segments(low, k) and len(sampled) == 1
 
     def test_cache_is_bounded(self, cold_spines, monkeypatch):
-        targets = [cmath.exp(complex(x, a)) for x in (-1.6, -0.4, 0.5, 1.5, 2.5) for a in (-2.0, 2.0)]
+        targets = BOUNDED_TARGETS
         want = [_route_bits(reach_path(omega)) for omega in targets]
         assert len(cold_spines._spines) > 4
         cold_spines._spines.clear()
@@ -499,15 +521,32 @@ class TestSpines:
             spines = cold_spines._spines
             held = sum(len(s.points) for s in spines.values())
             assert held <= 300 or len(spines) == 1
-            # the cache counts what it holds, and the route carries its own
-            # spine (the most recently used) and a live view of every kept
-            # spine and no other
-            assert spines.vertices == held
+            # the route carries its own spine (the most recently used) and a
+            # live view of every kept spine and no other
             own, kept = path._steps
             assert own is next(reversed(spines.values()))
             assert list(kept) == list(spines.values())
         spines.clear()
         assert not list(kept)
+
+    def test_eviction_keeps_its_order(self, cold_spines, monkeypatch):
+        # three passes over BOUNDED_TARGETS at a bound of 300 vertices, then
+        # a spine past a bound of 2,000, kept alone and evicted by the next
+        # route that adds a spine, twice
+        labels, states = {}, []
+
+        def route(omega):
+            reach_path(omega)
+            kept = cold_spines._spines.items()
+            states.append(" ".join(f"{labels.setdefault(k, len(labels))}:{len(s.points)}" for k, s in kept))
+
+        monkeypatch.setattr(monodromy, "SPINE_VERTICES", 300)
+        for omega in BOUNDED_TARGETS * 3:
+            route(omega)
+        monkeypatch.setattr(monodromy, "SPINE_VERTICES", 2000)
+        for omega in (1e-40, BOUNDED_TARGETS[0], 1e-40, BOUNDED_TARGETS[1]):
+            route(omega)
+        assert states == list(EVICTION_STATES)
 
 
     def test_threads_build_the_same_paths(self, cold_spines):
@@ -535,7 +574,8 @@ class TestSpines:
             sys.setswitchinterval(interval)
         assert got == [want] * 8
         spines = cold_spines._spines
-        assert spines.vertices == sum(len(s.points) for s in spines.values())
+        held = sum(len(s.points) for s in spines.values())
+        assert held <= monodromy.SPINE_VERTICES or len(spines) == 1
 
 
 @pytest.fixture(scope="module")

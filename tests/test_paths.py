@@ -158,10 +158,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="point 3 is not finite"):
             validate_path([1.0, 1 + 1j, -1 - 1j, complex(math.nan, 0.0)])
 
+    @pytest.mark.parametrize(
+        "points", [[0.5, 1.5e308 + 1.5e308j], [1.5e308 + 1.5e308j], [0.5, -1e308, 1.7e308 + 1e308j]]
+    )
+    def test_a_modulus_past_the_largest_double_is_rejected(self, points):
+        # both parts of the last point are finite, its modulus is not
+        with pytest.raises(ValueError, match=f"point {len(points) - 1}'s modulus exceeds"):
+            validate_path(points)
+
+    @pytest.mark.parametrize(
+        "points", [[0.5, 1e308 + 1e308j, -1e308 + 1e307j], [0.5, 1e308, 1.7e308j, -1e308]]
+    )
+    def test_a_segment_length_past_the_largest_double_is_rejected(self, points):
+        # every point is in range, a chord is not: its difference overflows,
+        # or only its modulus does
+        with pytest.raises(ValueError, match="segment 1's length exceeds the largest double"):
+            validate_path(points)
+
     def test_a_failed_extension_appends_nothing(self):
         path = validate_path([0.5, 1j])
         pts, cum, lifted = list(path.points), list(path._cumlen), list(path._lift)
-        for bad in ([2j, -1j], [2.0, math.inf], [0.0]):
+        for bad in (
+            [2j, -1j], [2.0, math.inf], [0.0], [1.5e308 + 1.5e308j], [1e308 + 1e308j, -1e308 + 1e307j]
+        ):
             with pytest.raises((ValueError, SegmentThroughOrigin)):
                 _extend(pts, cum, lifted, bad)
             assert (pts, cum, lifted) == (list(path.points), list(path._cumlen), list(path._lift))

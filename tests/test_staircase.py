@@ -99,6 +99,12 @@ class TestSlits:
         assert slit_contains(math.exp(19.5) * cmath.exp(1e-12j), 20)
         assert not slit_contains(2.0, 1000)
 
+    def test_a_modulus_past_the_largest_double_is_rejected(self):
+        # both parts finite, |omega| past the largest double, as in
+        # choose_lift_target
+        with pytest.raises(ValueError, match="largest double"):
+            slit_contains(complex(1.5e308, 1.5e308), 710)
+
 
 class TestLiftTarget:
     def test_upper_half(self):
