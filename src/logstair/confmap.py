@@ -108,6 +108,8 @@ class ConformalMap:
         self.nodes = nodes
         self.v0, self.v1 = nodes[0], nodes[1]
 
+        # the images of the nodes not yet absorbed: step k absorbs w[0] and
+        # carries only the rest on
         w = self._enter(nodes[2:])
         t = complex(self._enter(BASE_LIFT))
         # per absorbed node, only what _eval_raw reads: (k_in^2, -k_in/b,
@@ -121,7 +123,7 @@ class ConformalMap:
         steps = []
         v0_img = None  # image of v0 (infinity until the first finite b)
         for k in range(len(w)):
-            a = complex(w[k])
+            a, w = complex(w[0]), w[1:]
             if not a.imag > 0:
                 raise DegenerateBoundary(
                     f"node {k + 2} image left the upper half plane: {a}"
@@ -147,7 +149,7 @@ class ConformalMap:
             ))
             t = s_t if pos else -s_t
             s = np.sqrt(w * w + c2)
-            w = np.where(_flip(s, w), -s, s)
+            w = np.negative(s, out=s, where=_flip(s, w))
             if v0_img is not None:
                 s0 = complex(np.sqrt(complex(v0_img * v0_img + c2)))
                 v0_img = -s0 if _flip(s0, v0_img) else s0

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .errors import CenterMismatch, LogstairError, NoRefresh, WrongBasePoint
 from .paths import PathPolyline, _chord_lift, lift_point
 from .series import Germ, log_germ
-from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, _seg_dist, corner_at, in_interior
+from .staircase import BASE_POINT, GEOM_TOL, TWO_PI, corner_at, in_interior
 
 STEP_SAFETY = 0.5
 RADIUS_FLOOR = 1e-4
@@ -136,7 +136,8 @@ def continue_along(
     step without one raises NoRefresh.  Failure means the radius estimate
     dropped below RADIUS_FLOOR, MAX_STEPS ran out or the hook raised a
     LogstairError (ModelUnresolved, for one); t_fail is the furthest
-    parameter reached.
+    parameter reached.  A path whose total length overflows has no
+    parameter to step by, and raises ValueError before the first step.
 
     A route from monodromy carries its own spine (monodromy._Spine), with
     the steps it keeps and their key, and a live view of the spine cache's
@@ -149,10 +150,11 @@ def continue_along(
     them, each from the same start germ through the steps before, so every
     kept step passed the radius floor and MAX_STEPS on the germ before it.
     It checks only what this path's own length changes: t, the step's arc
-    length over that length, must increase (and a step at t = 1 ends it),
-    and a kept failure ends the chain with its reason.  The loop then
-    checks the floor and MAX_STEPS on the germ the replay ended on, as on
-    the start germ when nothing was replayed.  On the spine past its own
+    length over that length, must increase (and a step at t = 1 ends it);
+    a kept failure, which only the last kept step can be, ends the chain
+    with its reason.  The loop then checks the floor and MAX_STEPS on the
+    germ the replay ended on, as on the start germ when nothing was
+    replayed.  On the spine past its own
     kept steps a chain takes each step from a kept spine whose vertices up
     to the step's far one are the route's; past them it steps and
     refreshes.  Its spine keeps each step it takes on the spine, a failed
@@ -165,6 +167,9 @@ def continue_along(
         raise CenterMismatch(
             f"germ center {start.center} is not the path start {path.start}"
         )
+    last, total = len(path.points) - 1, path.total_length
+    if total == math.inf:
+        raise ValueError("the path's total length exceeds the largest double")
     key = (start, refresh)
     order = start.order
     if (
@@ -178,29 +183,31 @@ def continue_along(
         )
     own, spines = path._steps or (None, ())
     on_spine = path._shared - 1  # j < on_spine: j + 1 <= n - 1
-    last, total = len(path.points) - 1, path.total_length
     elements = [start]
     breaks = [0.0]
-    g = start
-    i, t = 0, 0.0
+    t = 0.0
 
     def _failed(reason: str) -> ContinuationChain:
         return ContinuationChain(tuple(elements), tuple(breaks), "failed", t, reason)
 
     with _route_lock:
         kept = own.steps if own is not None and own.key == key else ()
+        add_element, add_break = elements.append, breaks.append
         for j, s, center, lift, g_next in kept:
             if j >= on_spine or t >= 1.0:
                 break
             t_next = s / total
             if not t_next > t:
                 return _failed("no forward progress along the path")
-            if isinstance(g_next, str):
-                return _failed(g_next)
-            elements.append(g_next)
-            breaks.append(t_next)
-            g = g_next
-            i, t = j, t_next
+            add_element(g_next)
+            add_break(t_next)
+            t = t_next
+        g = elements[-1]
+        if isinstance(g, str):  # a kept failure, only ever its spine's last step
+            del elements[-1], breaks[-1]
+            t = breaks[-1]
+            return _failed(g)
+        i = kept[len(breaks) - 2][0] if len(breaks) > 1 else 0
         while True:
             if g.radius_est < RADIUS_FLOOR:
                 return _failed(
@@ -260,6 +267,7 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     lift_end = lifted[-1]
     pts = path.points
     cum = path._cumlen
+    dist = path._dist
 
     if not in_interior(lifted[0], geom_tol):  # reached when geom_tol >= 2*pi
         return OracleVerdict("blocked", 0.0, lift_end)
@@ -269,7 +277,7 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
         seg = abs(b - a)
         if seg == 0.0:
             continue
-        s_exit = _segment_exit(a, b, lifted[i], lifted[i + 1], geom_tol)
+        s_exit = _segment_exit(a, b, dist[i], lifted[i], lifted[i + 1], geom_tol)
         if s_exit is not None:
             exit_zeta = lift_point(a, lifted[i].imag, a + s_exit * (b - a))
             t_exit = (cum[i] + s_exit * seg) / path.total_length
@@ -282,10 +290,13 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     return OracleVerdict("continuable", None, lift_end)
 
 
-def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom_tol: float):
-    """The fraction of the segment from a to b at which its log lift, lift_a
-    at a and lift_b at b, first leaves the staircase interior, or None if it
-    stays inside.
+def _segment_exit(
+    a: complex, b: complex, dist: float, lift_a: complex, lift_b: complex, geom_tol: float
+):
+    """The fraction of the segment from a to b, which passes dist from 0
+    (paths._extend measured it when it checked the segment), at which its
+    log lift, lift_a at a and lift_b at b, first leaves the staircase
+    interior, or None if it stays inside.
 
     The lift is sampled at ~0.005 increments of lift arc length (by the
     lift paths._chord_lift picks for the chord); the first
@@ -319,7 +330,6 @@ def _segment_exit(a: complex, b: complex, lift_a: complex, lift_b: complex, geom
     well, since rounding is, so a cleared chord is one on which sampling
     would have returned None: every verdict and exit is the sampled one."""
     d = b - a
-    dist = _seg_dist(0j, a, b)
     arc_bound = abs(d) / dist
     theta_a = lift_a.imag
     margin = 1e-12 * (1.0 + arc_bound) * (1.0 + abs(lift_a.imag) + abs(lift_b.imag))

@@ -188,8 +188,9 @@ class _Spine:
     leave its end in the direction `unit` (+-1 or +-i): the chords of its
     legs, then those of the open-ended leg from its last waypoint, cut as
     _cut cuts a leg and grown on demand.  It keeps the chord vertices with
-    their cumulative lengths and lifts, marks[k], the number of vertices up
-    to the open leg's k-th multiple of EXP_STEP, certified, how many
+    their cumulative lengths and lifts, its segments' distances from 0,
+    marks[k], the number of vertices up to the open leg's k-th multiple of
+    EXP_STEP, certified, how many
     leading segments the exact oracle has found interior at GEOM_TOL (none
     until its first route is certified; the only record of the oracle's
     work that routes share), and steps, the only store of refreshed germs:
@@ -211,8 +212,8 @@ class _Spine:
         out = [cmath.exp(waypoints[0])]
         _cut(out, waypoints)
         out[0] = BASE_POINT  # exp(BASE_LIFT), which may miss it by an ulp
-        self.points, self.cum, self.lifted = [], [], []
-        _extend(self.points, self.cum, self.lifted, out)
+        self.points, self.cum, self.lifted, self.dist = [], [], [], []
+        _extend(self.points, self.cum, self.lifted, self.dist, out)
         self.marks = [len(self.points)]
         self.certified = 0
         self.key, self.steps = None, []
@@ -224,7 +225,7 @@ class _Spine:
         while len(self.marks) <= k:
             z = cmath.exp(self.start + self.unit * (len(self.marks) * EXP_STEP))
             if z != self.points[-1]:
-                _extend(self.points, self.cum, self.lifted, [z])
+                _extend(self.points, self.cum, self.lifted, self.dist, [z])
             self.marks.append(len(self.points))
         return self.marks[k]
 
@@ -244,11 +245,11 @@ _spines = OrderedDict()
 
 def _route(target: complex) -> PathPolyline:
     """The exponential of the route to `target`, whose first n vertices are
-    its spine's, with their lengths, lifts and engine steps.  It carries n
-    as _shared, the spine's certified segments among its first n - 1 as
-    _certified, and as _steps its own spine with a live view of the kept
-    spines, which later routes grow; only the rest is cut, checked and
-    lifted afresh.  Only a route that adds or grows its spine evicts."""
+    its spine's, with their lengths, lifts, segment distances from 0 and
+    engine steps.  It carries n as _shared, the spine's certified segments
+    among its first n - 1 as _certified, and as _steps its own spine with a
+    live view of the kept spines, which later routes grow; only the rest is
+    cut, checked and lifted afresh.  Only a route that adds or grows its spine evicts."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -267,11 +268,12 @@ def _route(target: complex) -> PathPolyline:
             while len(_spines) > 1 and kept > SPINE_VERTICES:
                 kept -= len(_spines.popitem(last=False)[1].points)
     pts, cum, lifted = spine.points[:n], spine.cum[:n], spine.lifted[:n]
+    dist = spine.dist[: n - 1]
     out = pts[-1:]
     _cut(out, tail)
-    _extend(pts, cum, lifted, out[1:])
+    _extend(pts, cum, lifted, dist, out[1:])
     return PathPolyline(
-        tuple(pts), tuple(cum), tuple(lifted), min(spine.certified, n - 1),
+        tuple(pts), tuple(cum), tuple(lifted), tuple(dist), min(spine.certified, n - 1),
         (spine, _spines.values()), n,
     )
 
@@ -294,7 +296,9 @@ def _path_to_lift(target: complex) -> PathPolyline:
     with _route_lock:
         spine.certified = max(spine.certified, n - 1)
     pts = path.points
-    return PathPolyline(pts, path._cumlen, path._lift, len(pts) - 1, path._steps, path._shared)
+    return PathPolyline(
+        pts, path._cumlen, path._lift, path._dist, len(pts) - 1, path._steps, path._shared
+    )
 
 
 def reach_path(omega) -> PathPolyline:

@@ -36,8 +36,9 @@ def _as_complex(p) -> complex:
 class PathPolyline:
     """A validated polyline in C*, parameterized by chord-length fraction.
 
-    validate_path builds it with its cumulative chord lengths and the
-    continuous log lift at its vertices (start branch 0).  A route from
+    validate_path builds it with its cumulative chord lengths, the
+    continuous log lift at its vertices (start branch 0) and each segment's
+    distance from 0, which the exact oracle reads.  A route from
     monodromy also carries how many of its leading segments the exact oracle
     has found interior at GEOM_TOL already (see engine.continuable_exact):
     its spine's certified prefix, or every segment once reach_path or
@@ -49,6 +50,7 @@ class PathPolyline:
     points: tuple
     _cumlen: tuple = field(repr=False, compare=False)
     _lift: tuple = field(repr=False, compare=False)
+    _dist: tuple = field(repr=False, compare=False)
     _certified: int = field(default=0, repr=False, compare=False)
     _steps: tuple = field(default=(), repr=False, compare=False)
     _shared: int = field(default=0, repr=False, compare=False)
@@ -123,22 +125,24 @@ def validate_path(points: Iterable) -> PathPolyline:
     Raises EmptyPath for an empty list and SegmentThroughOrigin (with the
     offending segment index) when any chord touches the origin.
     """
-    pts, cum, lifted = [], [], []
-    _extend(pts, cum, lifted, points)
+    pts, cum, lifted, dist = [], [], [], []
+    _extend(pts, cum, lifted, dist, points)
     if not pts:
         raise EmptyPath("path must contain at least one point")
-    return PathPolyline(tuple(pts), tuple(cum), tuple(lifted))
+    return PathPolyline(tuple(pts), tuple(cum), tuple(lifted), tuple(dist))
 
 
-def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
+def _extend(pts: list, cum: list, lifted: list, dist: list, new: Iterable) -> None:
     """Append the points `new` to the vertices pts of a valid path (or of
-    none), their cumulative chord lengths to cum and their log lifts (start
-    branch 0) to lifted.  The new points are checked as validate_path checks
-    a path, every point before any segment, and a failed check raises
-    before anything is appended: ValueError for a point that is not finite,
-    or whose modulus or the length of whose segment exceeds the largest
-    double, and SegmentThroughOrigin.  The sum of the lengths may overflow
-    (a route around 0 at |z| near 1e308)."""
+    none), their cumulative chord lengths to cum, their log lifts (start
+    branch 0) to lifted and the distance from 0 of each new segment, which
+    the check below computes, to dist.  The new points are checked as
+    validate_path checks a path, every point before any segment, and a
+    failed check raises before anything is appended: ValueError for a point
+    that is not finite, or whose modulus or the length of whose segment
+    exceeds the largest double, and SegmentThroughOrigin.  The sum of the
+    lengths may overflow (a route around 0 at |z| near 1e308), which
+    engine.continue_along rejects."""
     new = [_as_complex(p) for p in new]
     for i, p in enumerate(new, len(pts)):
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
@@ -150,10 +154,11 @@ def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
         except OverflowError:
             raise ValueError(f"point {i}'s modulus exceeds the largest double: {p}") from None
     joined = pts[-1:] + new
-    lengths = []
+    lengths, dists = [], []
     for i in range(len(joined) - 1):
         a, b = joined[i], joined[i + 1]
-        if _seg_dist(0j, a, b) <= 0.0 or _through_origin(a, b):
+        dists.append(_seg_dist(0j, a, b))
+        if dists[-1] <= 0.0 or _through_origin(a, b):
             raise SegmentThroughOrigin(max(len(pts) - 1, 0) + i)
         try:
             lengths.append(abs(b - a))
@@ -162,6 +167,7 @@ def _extend(pts: list, cum: list, lifted: list, new: Iterable) -> None:
     if math.inf in lengths:
         i = max(len(pts) - 1, 0) + lengths.index(math.inf)
         raise ValueError(f"segment {i}'s length exceeds the largest double")
+    dist.extend(dists)
     lengths = iter(lengths)
     for p in new:
         if pts:

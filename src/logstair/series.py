@@ -69,18 +69,33 @@ def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
 
     a_0 = ln|z0| + i branch_im, a_k = (-1)^(k-1) / (k z0^k); the radius is
     exactly |z0| (distance to the only singularity).
+
+    Once k z0^k overflows (|z0| above about 6.6e4 at the default order),
+    a_k and every later coefficient is 0: its magnitude is below
+    1/(k * DBL_MAX).  The terms dropped are not small far from z0, so the
+    radius shrinks to |z0| 2^(-53/k), inside which they sum to less than
+    2^-53: the series stays accurate where radius_est says it is.  So every
+    |z0| >= 1 gives a germ, however large; at the default order, |z0| below
+    about 1.43e-5 does not, as a coefficient overflows (ValueError) or
+    z0^k underflows to 0 (ZeroDivisionError).
     """
     z0 = complex(z0)
     if z0 == 0:
         raise ZeroCenter("log germ centered at 0")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = [complex(math.log(abs(z0)), branch_im)]
+    radius = abs(z0)
+    coeffs = [complex(math.log(radius), branch_im)]
     zk = z0
     for k in range(1, order + 1):
-        coeffs.append((-1.0) ** (k - 1) / (k * zk))
+        kz = k * zk
+        if not cmath.isfinite(kz):
+            coeffs += [0j] * (order + 1 - k)
+            radius *= 2.0 ** (-53 / k)
+            break
+        coeffs.append((-1.0) ** (k - 1) / kz)
         zk *= z0
-    return Germ(z0, tuple(coeffs), abs(z0))
+    return Germ(z0, tuple(coeffs), radius)
 
 
 def eval_h(z) -> complex:

@@ -122,6 +122,22 @@ class TestContinue:
         assert 0.0 < float(grab(out, "t_fail")) < 1.0
         assert grab(out, "reason")
 
+    def test_log_chain_past_the_overflow_of_its_coefficients(self, capsys, tmp_path):
+        # past |z| ~ 6.6e4 the log germ's last coefficients are 0
+        dest = str(tmp_path / "far.json")
+        assert run(capsys, "reach", "--omega=1e5", "--out", dest)[0] == 0
+        code, out, _ = run(capsys, "continue", "--path", dest)
+        assert code == 0
+        assert grab(out, "status") == "completed"
+
+    def test_a_path_whose_length_overflows_is_a_domain_error(self, capsys, tmp_path):
+        dest = str(tmp_path / "longest.json")
+        assert run(capsys, "reach", "--omega=1.5e308", "--out", dest)[0] == 0
+        code, out, err = run(capsys, "continue", "--path", dest)
+        assert code == 1
+        assert out == ""
+        assert err == "error: the path's total length exceeds the largest double\n"
+
     def test_bad_germ_spec(self, capsys, segment_file):
         code, _, err = run(capsys, "continue", "--path", segment_file, "--germ", "exp")
         assert code == 2

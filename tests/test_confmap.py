@@ -510,6 +510,78 @@ class TestSpineStores:
         assert continue_along(f_germ_at_base(fresh), path, refresh=FRefresh(fresh)) == second
 
 
+def _reference_build(truncation, resolution):
+    """The disc map as its construction built it when every Moebius and slit
+    step was applied to all node images, not only to those not yet
+    absorbed: the same nodes, then the old loop line for line."""
+    ref = ConformalMap.__new__(ConformalMap)
+    ref.truncation = truncation
+    nodes = confmap._grade_nodes(truncation.vertices(), resolution)
+    ref.nodes, ref.v0, ref.v1 = nodes, nodes[0], nodes[1]
+    w = ref._enter(nodes[2:])
+    t = complex(ref._enter(BASE_LIFT))
+    ref.t_start = t
+    steps = []
+    v0_img = None
+    for k in range(len(w)):
+        a = complex(w[k])
+        absq = a.real * a.real + a.imag * a.imag
+        b = absq / a.real if a.real != 0.0 else math.inf
+        c2 = (absq / a.imag) ** 2
+        if math.isinf(b):
+            t_mid, kk, mk = t, None, None
+        else:
+            k_in = 1.0 - t / b
+            t_mid = t / k_in
+            kk, mk = np.array(k_in * k_in), np.array(-k_in / b)
+            w = w / (1.0 - w / b)
+            v0_img = -b if v0_img is None else v0_img / (1.0 - v0_img / b)
+        sq = t_mid * t_mid + c2
+        s_t = complex(np.sqrt(complex(sq)))
+        pos = not _flip(s_t, t_mid)
+        steps.append((
+            kk, mk, np.array(2.0 * t_mid), np.array(sq), np.array(s_t), np.array(-s_t), pos,
+        ))
+        t = s_t if pos else -s_t
+        s = np.sqrt(w * w + c2)
+        w = np.where(_flip(s, w), -s, s)
+        if v0_img is not None:
+            s0 = complex(np.sqrt(complex(v0_img * v0_img + c2)))
+            v0_img = -s0 if _flip(s0, v0_img) else s0
+    ref.steps = steps
+    ref.zeta_close = v0_img
+    ref.t_pre_close = t
+    t_cl = t / (1.0 - t / v0_img)
+    ref.t_close = t_cl
+    ref.t_final = -(t_cl * t_cl)
+    ref.rot = 1.0 + 0j
+    r = min(0.1, 0.5 * truncation.boundary_distance(BASE_LIFT))
+    th = TWO_PI * np.arange(64) / 64
+    ring = ref._eval_raw(BASE_LIFT + r * np.exp(1j * th))
+    a1 = np.fft.fft(ring)[1] / 64 / r
+    ref.rot = confmap._SCALE * abs(a1) / a1
+    return ref
+
+
+def _constant_bits(cmap):
+    """The map's stored constants, each number as its bytes."""
+    def bits(x):
+        return x if x is None or isinstance(x, bool) else np.asarray(x, dtype=complex).tobytes()
+
+    scalars = (cmap.zeta_close, cmap.t_pre_close, cmap.t_close, cmap.t_final, cmap.rot)
+    return [tuple(map(bits, step)) for step in cmap.steps], [bits(x) for x in scalars]
+
+
+@pytest.mark.parametrize(
+    "spec, resolution", [((-2, 2, 8 * math.pi), 256), ((-1, 1, 6 * math.pi), 128)]
+)
+def test_the_build_keeps_every_constant(spec, resolution):
+    # the construction carries only the nodes not yet absorbed, which
+    # changes no stored bit
+    got = build_map(Truncation(*spec), resolution)
+    assert _constant_bits(got) == _constant_bits(_reference_build(Truncation(*spec), resolution))
+
+
 def _reference_steps(cmap):
     """Per-node step tuples (b, k_in, t_in, t_mid, c2, s_t, t_out, f_t) of the
     unfused anchored evaluation, rebuilt from the map's nodes the way the

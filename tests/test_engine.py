@@ -135,6 +135,27 @@ class TestContinueAlong:
         assert abs(chain.final.coeffs[0] - complex(math.log(0.5), -TWO_PI)) < 1e-10
 
 
+class TestFarRoutes:
+    @pytest.mark.parametrize("omega", [6e4, 1e5, 1e10])
+    def test_a_log_chain_past_the_overflow_of_its_coefficients(self, omega):
+        # past |z| ~ 6.6e4 the log germs' last coefficients are 0 (the route
+        # to 6e4 passes e^11.5 on its corridor), and their radii shrink so
+        # that each value stays accurate
+        path = reach_path(omega)
+        chain = continue_along(log_germ(0.5, 0.0), path)
+        assert chain.completed
+        value = chain.final.coeffs[0]
+        assert abs(cmath.exp(value) - omega) <= 1e-12 * omega
+        assert value.imag == pytest.approx(path._lift[-1].imag, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [1e308j, 1.5e308])
+    def test_a_path_whose_length_overflows_raises(self, omega):
+        path = reach_path(omega)
+        assert path.total_length == math.inf
+        with pytest.raises(ValueError, match="total length exceeds the largest double"):
+            continue_along(log_germ(0.5, 0.0), path)
+
+
 class TestOracle:
     def test_real_segment_blocked_at_one(self):
         v = continuable_exact(validate_path([0.5, 2.0]))
@@ -211,9 +232,9 @@ def segment_runs(monkeypatch):
     runs = []
     inner = engine._segment_exit
 
-    def counted(a, b, lift_a, lift_b, geom_tol):
+    def counted(a, b, dist, lift_a, lift_b, geom_tol):
         runs.append((a, b, lift_a.imag, geom_tol))
-        return inner(a, b, lift_a, lift_b, geom_tol)
+        return inner(a, b, dist, lift_a, lift_b, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
     monkeypatch.setattr(monodromy, "_spines", OrderedDict())
@@ -412,7 +433,7 @@ class TestScaledLift:
             return lift_point(a, theta_a, z)
 
         monkeypatch.setattr(paths, "lift_point", counted)
-        s_exit = engine._segment_exit(a, b, lift_a, lift_b, GEOM_TOL)
+        s_exit = engine._segment_exit(a, b, _seg_dist(0j, a, b), lift_a, lift_b, GEOM_TOL)
         assert scaled  # not cleared by its end lifts, and sampled with lift_point
         want = _exit_reference(a, b, theta_a, GEOM_TOL)
         assert repr(s_exit) == repr(want)

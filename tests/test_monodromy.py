@@ -37,7 +37,7 @@ from logstair import (
     validate_path,
     winding_number,
 )
-from logstair.staircase import BASE_LIFT, GEOM_TOL, column, in_interior
+from logstair.staircase import BASE_LIFT, GEOM_TOL, _seg_dist, column, in_interior
 
 TWO_PI = 2.0 * math.pi
 E2 = math.e**2
@@ -454,9 +454,9 @@ def sampled(monkeypatch, cold_spines):
     runs = []
     inner = engine._segment_exit
 
-    def counted(a, b, lift_a, lift_b, geom_tol):
+    def counted(a, b, dist, lift_a, lift_b, geom_tol):
         runs.append((a, b, lift_a.imag, geom_tol))
-        return inner(a, b, lift_a, lift_b, geom_tol)
+        return inner(a, b, dist, lift_a, lift_b, geom_tol)
 
     monkeypatch.setattr(engine, "_segment_exit", counted)
     return runs
@@ -484,6 +484,24 @@ class TestSpines:
         for geom_tol in (GEOM_TOL, 1e-6):
             full = continuable_exact(validate_path(path.points), geom_tol)
             assert continuable_exact(path, geom_tol) == full
+
+    def test_each_route_keeps_its_segments_distances_from_zero(self, cold_spines):
+        # cold and served routes, and a route on a spine that a later route
+        # grew, keep the distance paths._extend measured on each segment
+        def measured(path):
+            pts = path.points
+            return path._dist == tuple(_seg_dist(0j, a, b) for a, b in zip(pts, pts[1:]))
+
+        low = reach_path(cmath.exp(complex(0.8, 3.0)))
+        spine = low._steps[0]
+        held = len(spine.points)
+        assert measured(low) and measured(validate_path(low.points))
+        assert measured(reach_path(cmath.exp(complex(0.8, 3.0))))  # served
+        high = reach_path(cmath.exp(complex(0.3, 5.5)))
+        assert high._steps[0] is spine and len(spine.points) > held  # grew it
+        assert measured(high)
+        assert measured(reach_path(cmath.exp(complex(0.9, 4.0))))
+        assert len(spine.dist) == len(spine.points) - 1
 
     def test_a_second_route_samples_only_its_last_legs(self, sampled):
         # up column 0's corridor: the higher target certifies the spine, and

@@ -14,6 +14,7 @@ from logstair import (
     winding_number,
 )
 from logstair.paths import _extend
+from logstair.staircase import _seg_dist
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,16 +178,18 @@ class TestValidation:
 
     def test_a_failed_extension_appends_nothing(self):
         path = validate_path([0.5, 1j])
-        pts, cum, lifted = list(path.points), list(path._cumlen), list(path._lift)
+        kept = path.points, path._cumlen, path._lift, path._dist
+        pts, cum, lifted, dist = map(list, kept)
         for bad in (
             [2j, -1j], [2.0, math.inf], [0.0], [1.5e308 + 1.5e308j], [1e308 + 1e308j, -1e308 + 1e307j]
         ):
             with pytest.raises((ValueError, SegmentThroughOrigin)):
-                _extend(pts, cum, lifted, bad)
-            assert (pts, cum, lifted) == (list(path.points), list(path._cumlen), list(path._lift))
-        _extend(pts, cum, lifted, [-1.0, -1j])
-        assert validate_path(pts) == validate_path([0.5, 1j, -1.0, -1j])
-        assert (tuple(cum), tuple(lifted)) == (validate_path(pts)._cumlen, validate_path(pts)._lift)
+                _extend(pts, cum, lifted, dist, bad)
+            assert (pts, cum, lifted, dist) == tuple(map(list, kept))
+        _extend(pts, cum, lifted, dist, [-1.0, -1j])
+        whole = validate_path([0.5, 1j, -1.0, -1j])
+        assert validate_path(pts) == whole
+        assert tuple(map(tuple, (cum, lifted, dist))) == (whole._cumlen, whole._lift, whole._dist)
 
     def test_point_at_endpoints(self):
         p = validate_path([1.0, 1j])
@@ -222,6 +225,21 @@ def test_exp_of_lift_recovers_path(pts):
     lift = lift_log(path)
     err = max(abs(cmath.exp(w) - z) for w, z in zip(lift.points, path.points))
     assert err < 1e-10
+
+
+def _dists_are_measured(path):
+    pts = path.points
+    return path._dist == tuple(_seg_dist(0j, a, b) for a, b in zip(pts, pts[1:]))
+
+
+@given(polylines)
+@settings(max_examples=100, deadline=None)
+def test_each_segment_keeps_its_distance_from_zero(pts):
+    # the exact oracle reads the distance validate_path measured
+    path = _safe(pts)
+    if path is None:
+        return
+    assert _dists_are_measured(path)
 
 
 @given(polylines, st.integers(-2, 2))

@@ -102,6 +102,44 @@ class TestLogGerm:
         assert abs(g.eval(w) - cmath.log(w)) < 1e-14
 
 
+def _log_coeffs_unguarded(z0, order):
+    """log_germ's coefficients as they were formed before the overflow
+    guard: a_k = (-1)^(k-1) / (k z0^k) with z0^k by repeated products."""
+    coeffs = [complex(math.log(abs(z0)), 0.0)]
+    zk = z0
+    for k in range(1, order + 1):
+        coeffs.append((-1.0) ** (k - 1) / (k * zk))
+        zk *= z0
+    return tuple(coeffs)
+
+
+class TestLogGermPastTheOverflow:
+    """Once k z0^k overflows, the coefficients from k on are 0 and the
+    radius shrinks to |z0| 2^(-53/k)."""
+
+    @pytest.mark.parametrize("z0", [0.5, 2.0 - 1.0j, -3e4j, 6e4, 1e-4 + 1e-4j])
+    def test_coefficients_are_unchanged_while_every_power_is_finite(self, z0):
+        g = log_germ(z0, 0.0, 64)
+        assert g.coeffs == _log_coeffs_unguarded(z0, 64)
+        assert g.radius_est == abs(z0)
+
+    def test_a_huge_center_gives_finite_coefficients(self):
+        g = log_germ(1e200, 0.0)
+        assert all(cmath.isfinite(c) for c in g.coeffs)
+        assert g.coeffs[:2] == (complex(math.log(1e200), 0.0), 1e-200)
+        assert set(g.coeffs[2:]) == {0j}
+        assert g.radius_est == 1e200 * 2.0 ** (-53 / 2)
+
+    @pytest.mark.parametrize("z0", [1e5, -7e9j, 1e30 * cmath.exp(1j), 1e100, 1e300])
+    def test_the_series_is_accurate_inside_its_radius(self, z0):
+        g = log_germ(z0, cmath.phase(z0))
+        assert g.radius_est < abs(z0)
+        for j in range(8):
+            w = z0 + 0.99 * g.radius_est * cmath.exp(2j * math.pi * j / 8)
+            want = complex(math.log(abs(w)), cmath.phase(z0) + cmath.phase(w / z0))
+            assert abs(g.eval(w) - want) <= 1e-15 * abs(want)
+
+
 class TestEvalH:
     @pytest.mark.parametrize("r,ref", sorted(H_REFERENCE.items()))
     def test_reference_values(self, r, ref):
