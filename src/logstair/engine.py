@@ -101,18 +101,6 @@ def _step(path: PathPolyline, i: int, center: complex, cap: float):
 _route_lock = threading.RLock()  # the package's one lock (see monodromy._Spine)
 
 
-def _handed_over(spines, key, k: int, points: tuple):
-    """Step k of the chain keyed key from the first route spine in spines
-    that keeps it on a prefix of points: the spine's vertices up to the
-    step's far one, j + 1, are points' (None if no spine does).  The caller
-    holds _route_lock."""
-    for other in spines:
-        step = other.steps[k] if other.key == key and k < len(other.steps) else None
-        if step is not None and list(points[: step[0] + 2]) == other.points[: step[0] + 2]:
-            return step
-    return None
-
-
 def continue_along(
     start: Germ,
     path: PathPolyline,
@@ -140,26 +128,26 @@ def continue_along(
     parameter to step by, and raises ValueError before the first step.
 
     A route from monodromy carries its own spine (monodromy._Spine), with
-    the steps it keeps and their key, and a live view of the spine cache's
-    kept spines, which shows those kept after the route was built too, and
-    how many of its leading vertices are its spine's, n.  A chain keyed like
-    its spine's steps, by (start, refresh) with the default hook as None,
-    first replays the kept steps that read no vertex past the first n
-    (j + 1 <= n - 1), a prefix of them since j never decreases.  The replay
-    relies on how a spine's steps grow: only chains of its key append to
-    them, each from the same start germ through the steps before, so every
-    kept step passed the radius floor and MAX_STEPS on the germ before it.
-    It checks only what this path's own length changes: t, the step's arc
-    length over that length, must increase (and a step at t = 1 ends it);
-    a kept failure, which only the last kept step can be, ends the chain
-    with its reason.  The loop then checks the floor and MAX_STEPS on the
-    germ the replay ended on, as on the start germ when nothing was
-    replayed.  On the spine past its own
-    kept steps a chain takes each step from a kept spine whose vertices up
-    to the step's far one are the route's; past them it steps and
-    refreshes.  Its spine keeps each step it takes on the spine, a failed
-    refresh as its reason, when the step is the chain's first or the spine
-    holds the chain's key, so each is refreshed once per (start, refresh).
+    the steps it keeps and their key, and how many of its leading vertices
+    are its spine's, n.  A chain keyed like its spine's steps, by
+    (start, refresh) with the default hook as None, first replays the kept
+    steps that read no vertex past the first n (j + 1 <= n - 1), a prefix
+    of them since j never decreases.  The replay relies on how a spine's
+    steps grow: only chains of its key append to them, each from the same
+    start germ through the steps before, so every kept step passed the
+    radius floor and MAX_STEPS on the germ before it.  It checks only what
+    this path's own length changes: t, the step's arc length over that
+    length, must increase (and a step at t = 1 ends it); a kept failure,
+    which only the last kept step can be, ends the chain with its reason.
+    The loop then checks the floor and MAX_STEPS on the germ the replay
+    ended on, as on the start germ when nothing was replayed.  On the spine
+    past its own kept steps a chain takes each step from a spine that the
+    cache keeps when the chain runs and whose vertices up to the step's far
+    one are the route's (see monodromy._Spine.handed_over); past them it
+    steps and refreshes.  Its spine keeps each step it takes on the spine, a
+    failed refresh as its reason, when the step is the chain's first or the
+    spine holds the chain's key, so each is refreshed once per
+    (start, refresh).
     The chain holds _route_lock from its first step to its last, so chains
     that run at once take turns, and every exit releases it.
     """
@@ -181,7 +169,7 @@ def continue_along(
         refresh = lambda center, lift, prev: log_germ(
             center, prev.eval(center).imag, order
         )
-    own, spines = path._steps or (None, ())
+    own = path._spine
     on_spine = path._shared - 1  # j < on_spine: j + 1 <= n - 1
     elements = [start]
     breaks = [0.0]
@@ -219,7 +207,7 @@ def continue_along(
                 return _failed(f"exceeded {MAX_STEPS} steps")
             k = len(breaks) - 1
             new = k >= len(kept)
-            step = _handed_over(spines, key, k, path.points) if new and i < on_spine else None
+            step = own.handed_over(key, k, path.points) if new and i < on_spine else None
             if step is not None and step[0] < on_spine:
                 j, s, center, lift, g_next = step
             else:
@@ -251,43 +239,55 @@ def continuable_exact(path: PathPolyline, geom_tol: float = GEOM_TOL) -> OracleV
     """Exact continuability oracle: the germ continues along `path` precisely
     when the logarithm lift (start branch 0) stays interior to the staircase.
 
-    Each segment is decided by _segment_exit: cleared from its two end
-    lifts when the corner of their box is interior, and sampled otherwise.
-    Exits are reported as "corner" only when the offending point sits at a
-    staircase corner AND the path terminates there (a lift merely passing
-    through a corner is an ordinary blocked exit).  A route from monodromy
-    carries how many of its leading segments the oracle has certified at
-    GEOM_TOL already, and at GEOM_TOL the oracle starts after them: on a
-    route that reach_path or classify has certified, crosscheck decides no
-    segment.
+    Each segment is decided by _segment_exit, in order (_first_exit):
+    cleared from its two end lifts when the corner of their box is
+    interior, and sampled otherwise.  Exits are reported as "corner" only
+    when the offending point sits at a staircase corner AND the path
+    terminates there (a lift merely passing through a corner is an ordinary
+    blocked exit).  A route from monodromy had every segment decided by
+    _segment_exit at GEOM_TOL as it was built, so at GEOM_TOL the oracle
+    decides none of them, and crosscheck on a route or a classify witness
+    decides none; at any other tolerance, and on every other path, it
+    decides every segment.  An exit on a path whose total length overflows
+    has no parameter, and raises ValueError, as continue_along does; a
+    continuable verdict needs none.
     """
     if abs(path.start - BASE_POINT) > geom_tol:
         raise WrongBasePoint(f"oracle paths must start at 0.5, got {path.start}")
-    lifted = path._lift
+    pts, lifted = path.points, path._lift
     lift_end = lifted[-1]
-    pts = path.points
-    cum = path._cumlen
-    dist = path._dist
-
     if not in_interior(lifted[0], geom_tol):  # reached when geom_tol >= 2*pi
         return OracleVerdict("blocked", 0.0, lift_end)
+    if path._spine is not None and geom_tol == GEOM_TOL:
+        return OracleVerdict("continuable", None, lift_end)
+    found = _first_exit(pts, lifted, path._dist, 0, geom_tol)
+    if found is None:
+        return OracleVerdict("continuable", None, lift_end)
+    if path.total_length == math.inf:
+        raise ValueError("the path's total length exceeds the largest double")
+    i, s_exit = found
+    a, b = pts[i], pts[i + 1]
+    exit_zeta = lift_point(a, lifted[i].imag, a + s_exit * (b - a))
+    t_exit = (path._cumlen[i] + s_exit * abs(b - a)) / path.total_length
+    corner = corner_at(exit_zeta, 2.0 * geom_tol)
+    terminal = corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
+    return OracleVerdict("corner" if terminal else "blocked", t_exit, lift_end)
 
-    for i in range(path._certified if geom_tol == GEOM_TOL else 0, len(pts) - 1):
+
+def _first_exit(pts, lifted, dist, first: int, geom_tol: float):
+    """(i, s) for the first segment i >= first of the polyline pts, whose
+    vertices lift to lifted and whose segments pass dist from 0, on which
+    the lift leaves the staircase interior at geom_tol, and the fraction s
+    of it at which it does (_segment_exit, which the oracle and the routes
+    of monodromy share); None if there is none.  A segment of length 0 is
+    skipped."""
+    for i in range(first, len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        seg = abs(b - a)
-        if seg == 0.0:
-            continue
-        s_exit = _segment_exit(a, b, dist[i], lifted[i], lifted[i + 1], geom_tol)
-        if s_exit is not None:
-            exit_zeta = lift_point(a, lifted[i].imag, a + s_exit * (b - a))
-            t_exit = (cum[i] + s_exit * seg) / path.total_length
-            corner = corner_at(exit_zeta, 2.0 * geom_tol)
-            terminal = (
-                corner is not None and abs(lift_end - corner) <= 2.0 * geom_tol
-            )
-            return OracleVerdict("corner" if terminal else "blocked", t_exit, lift_end)
-
-    return OracleVerdict("continuable", None, lift_end)
+        if a != b:
+            s = _segment_exit(a, b, dist[i], lifted[i], lifted[i + 1], geom_tol)
+            if s is not None:
+                return i, s
+    return None
 
 
 def _segment_exit(

@@ -12,14 +12,13 @@ the leg's start, so routes share their vertices up to their last legs and
 the continuation engine meets the same germs along them.  The tree is kept:
 a spine (_Spine) holds the chords, lengths and lifts of the fixed part of
 the routes, and a route is its spine's prefix plus its own last legs, the
-only ones cut, checked and lifted afresh.  Every route is certified by the
-exact oracle on the path the engine walks, which decides only the segments
-past those its spine has certified (none until the spine's first route),
-each cleared from its two end lifts since a route's chords keep well inside
-the staircase, and the certified route carries its whole length as
-certified, so crosscheck on it decides nothing.  The engine resumes the
-chain it has stepped along the spine, or along a spine that shares its
-vertices, stepping and refreshing only past it.
+only ones cut, checked and lifted afresh.  Every route is certified as it
+is built: the exact oracle's segment test decides each spine segment once,
+when a route adds it, and each route's own segments past the spine, each
+cleared from its two end lifts since a route's chords keep well inside the
+staircase (see _route), so crosscheck on a route decides nothing.  The
+engine resumes the chain it has stepped along the spine, or along a spine
+that shares its vertices, stepping and refreshing only past it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .engine import ContinuationChain, _route_lock, continuable_exact, continue_along
+from .engine import ContinuationChain, _first_exit, _route_lock, continue_along
 from .errors import NotOnSlit, RoutingFailure
 from .paths import PathPolyline, _extend, validate_path
 from .series import DEFAULT_ORDER, Germ, compose_log, log_germ
@@ -66,7 +65,7 @@ class ClassificationReport:
         lift_end, when the verdict is continuable (else None).  It is routed
         on the first read: its length grows with the winding index, and the
         verdict needs none of it."""
-        return _path_to_lift(self.lift_end) if self.verdict == "continuable" else None
+        return _route(self.lift_end) if self.verdict == "continuable" else None
 
 
 @dataclass(frozen=True)
@@ -190,22 +189,19 @@ class _Spine:
     _cut cuts a leg and grown on demand.  It keeps the chord vertices with
     their cumulative lengths and lifts, its segments' distances from 0,
     marks[k], the number of vertices up to the open leg's k-th multiple of
-    EXP_STEP, certified, how many
-    leading segments the exact oracle has found interior at GEOM_TOL (none
-    until its first route is certified; the only record of the oracle's
-    work that routes share), and steps, the only store of refreshed germs:
-    the chain the engine has stepped along its vertices for the last
-    (start germ, hook) pair that ran there, key.  Each step (j, s, center,
-    lift, germ) is engine._step's result and the refreshed germ, or the
-    reason a refresh failed, which ends the chain; a step with
-    j + 1 <= n - 1 reads no vertex past the first n, so every route that
-    shares those replays it, and routes on other spines take steps from it
-    (see engine.continue_along).  The spine cache, the spines' steps and
-    their certified prefixes are read and written holding
-    engine._route_lock, the package's one lock, and a chain holds it from
-    its first step to its last, so chains that run at once refresh each
-    kept step once.  The lock is re-entrant: a hook may route or continue a
-    germ inside its chain."""
+    EXP_STEP, and steps, the only store of refreshed germs: the chain the
+    engine has stepped along its vertices for the last (start germ, hook)
+    pair that ran there, key.  Every segment it keeps has been certified
+    (see _route).  Each step (j, s, center, lift, germ) is engine._step's
+    result and the refreshed germ, or the reason a refresh failed, which
+    ends the chain; a step with j + 1 <= n - 1 reads no vertex past the
+    first n, so every route that shares those replays it, and routes on
+    other spines take steps from it (see handed_over and
+    engine.continue_along).  The spine cache and the spines' steps are read
+    and written holding engine._route_lock, the package's one lock, and a
+    chain holds it from its first step to its last, so chains that run at
+    once refresh each kept step once.  The lock is re-entrant: a hook may
+    route or continue a germ inside its chain."""
 
     def __init__(self, waypoints: tuple, unit: complex):
         self.start, self.unit = waypoints[-1], unit
@@ -215,7 +211,6 @@ class _Spine:
         self.points, self.cum, self.lifted, self.dist = [], [], [], []
         _extend(self.points, self.cum, self.lifted, self.dist, out)
         self.marks = [len(self.points)]
-        self.certified = 0
         self.key, self.steps = None, []
 
     def prefix(self, length: float) -> int:
@@ -228,6 +223,19 @@ class _Spine:
                 _extend(self.points, self.cum, self.lifted, self.dist, [z])
             self.marks.append(len(self.points))
         return self.marks[k]
+
+    def handed_over(self, key, k: int, points: tuple):
+        """Step k of the chain keyed key from the first kept spine, least
+        recently used first, that keeps it on a prefix of points: the
+        spine's vertices up to the step's far one, j + 1, are points' (None
+        if no spine does).  The engine reaches the spine cache through a
+        route's own spine, so it reads the spines kept when the chain runs.
+        The caller holds engine._route_lock."""
+        for other in _spines.values():
+            step = other.steps[k] if other.key == key and k < len(other.steps) else None
+            if step is not None and list(points[: step[0] + 2]) == other.points[: step[0] + 2]:
+                return step
+        return None
 
 
 # The kept spines, least recently used first.  Only a route that adds or
@@ -244,12 +252,17 @@ _spines = OrderedDict()
 
 
 def _route(target: complex) -> PathPolyline:
-    """The exponential of the route to `target`, whose first n vertices are
-    its spine's, with their lengths, lifts, segment distances from 0 and
-    engine steps.  It carries n as _shared, the spine's certified segments
-    among its first n - 1 as _certified, and as _steps its own spine with a
-    live view of the kept spines, which later routes grow; only the rest is
-    cut, checked and lifted afresh.  Only a route that adds or grows its spine evicts."""
+    """The exponential of the route to `target`, certified by the exact
+    oracle as it is built.  Its first n vertices are its spine's, with their
+    lengths, lifts, segment distances from 0 and engine steps; it carries
+    its spine as _spine and n as _shared, and only the rest is cut, checked
+    and lifted afresh.  A route that adds or grows its spine decides each
+    new spine segment, holding _route_lock, and drops the spine again if
+    one leaves the staircase, so every kept spine segment is certified; then
+    it evicts.  Each route decides its own segments past the spine.  Raises
+    RoutingFailure if a segment leaves the staircase or the lift ends
+    further than 1e-7 from `target`; so continuable_exact on the route at
+    GEOM_TOL decides no segment."""
     waypoints, tail = _route_lift(target)
     length = abs(tail[0] - waypoints[-1])
     unit = (tail[0] - waypoints[-1]) / length if length else 1j
@@ -264,6 +277,10 @@ def _route(target: complex) -> PathPolyline:
             held = len(spine.points)
         n = spine.prefix(length)
         if len(spine.points) > held:
+            bad = _first_exit(spine.points, spine.lifted, spine.dist, max(held - 1, 0), GEOM_TOL)
+            if bad is not None:
+                del _spines[key]
+                raise RoutingFailure(f"route to {target}: exit (segment, fraction) {bad}")
             kept = sum(len(s.points) for s in _spines.values())
             while len(_spines) > 1 and kept > SPINE_VERTICES:
                 kept -= len(_spines.popitem(last=False)[1].points)
@@ -272,40 +289,17 @@ def _route(target: complex) -> PathPolyline:
     out = pts[-1:]
     _cut(out, tail)
     _extend(pts, cum, lifted, dist, out[1:])
-    return PathPolyline(
-        tuple(pts), tuple(cum), tuple(lifted), tuple(dist), min(spine.certified, n - 1),
-        (spine, _spines.values()), n,
-    )
-
-
-def _path_to_lift(target: complex) -> PathPolyline:
-    """The exponential of the route to `target`, certified by the exact
-    oracle: the path must be continuable and its lift must end within 1e-7
-    of `target`.  Raises RoutingFailure otherwise.  The oracle samples only
-    the segments past those its spine has certified, and certifies the
-    spine's segments that the route takes; the route is returned with every
-    segment certified, so the oracle on it again samples none."""
-    path = _route(target)
-    verdict = continuable_exact(path)
-    if verdict.verdict != "continuable" or abs(verdict.lift_end - target) > 1e-7:
-        raise RoutingFailure(
-            f"routed path failed the oracle: {verdict.verdict}, "
-            f"lift end {verdict.lift_end} vs target {target}"
-        )
-    spine, n = path._steps[0], path._shared
-    with _route_lock:
-        spine.certified = max(spine.certified, n - 1)
-    pts = path.points
-    return PathPolyline(
-        pts, path._cumlen, path._lift, path._dist, len(pts) - 1, path._steps, path._shared
-    )
+    bad = _first_exit(pts, lifted, dist, n - 1, GEOM_TOL)
+    if bad is not None or abs(lifted[-1] - target) > 1e-7:
+        raise RoutingFailure(f"route to {target}: exit {bad}, lift end {lifted[-1]}")
+    return PathPolyline(tuple(pts), tuple(cum), tuple(lifted), tuple(dist), spine, n)
 
 
 def reach_path(omega) -> PathPolyline:
     """A path from 0.5 to omega along which the germ provably continues: its
     lift runs from the base lift point to choose_lift_target(omega) through
     the staircase interior."""
-    return _path_to_lift(choose_lift_target(complex(omega)))
+    return _route(choose_lift_target(complex(omega)))
 
 
 def _verdict_of(lift_end: complex) -> str:

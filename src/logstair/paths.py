@@ -39,20 +39,16 @@ class PathPolyline:
     validate_path builds it with its cumulative chord lengths, the
     continuous log lift at its vertices (start branch 0) and each segment's
     distance from 0, which the exact oracle reads.  A route from
-    monodromy also carries how many of its leading segments the exact oracle
-    has found interior at GEOM_TOL already (see engine.continuable_exact):
-    its spine's certified prefix, or every segment once reach_path or
-    classify has certified it.  It carries as well its own spine, which
-    keeps the engine's steps along it, with a live view of the spine
-    cache's kept spines, and the number of its leading vertices that are
-    its spine's (see engine.continue_along)."""
+    monodromy, which the oracle certified as it was built, also carries its
+    own spine (None on a path from validate_path), which keeps the engine's
+    steps along it, and the number of its leading vertices that are its
+    spine's (see engine.continue_along and engine.continuable_exact)."""
 
     points: tuple
     _cumlen: tuple = field(repr=False, compare=False)
     _lift: tuple = field(repr=False, compare=False)
     _dist: tuple = field(repr=False, compare=False)
-    _certified: int = field(default=0, repr=False, compare=False)
-    _steps: tuple = field(default=(), repr=False, compare=False)
+    _spine: object = field(default=None, repr=False, compare=False)
     _shared: int = field(default=0, repr=False, compare=False)
 
     @property

@@ -75,9 +75,10 @@ def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
     1/(k * DBL_MAX).  The terms dropped are not small far from z0, so the
     radius shrinks to |z0| 2^(-53/k), inside which they sum to less than
     2^-53: the series stays accurate where radius_est says it is.  So every
-    |z0| >= 1 gives a germ, however large; at the default order, |z0| below
-    about 1.43e-5 does not, as a coefficient overflows (ValueError) or
-    z0^k underflows to 0 (ZeroDivisionError).
+    |z0| >= 1 gives a germ, however large.  Small |z0| has no such way out:
+    once 1/(k z0^k) overflows, or z0^k underflows to 0 (at the default
+    order, |z0| below about 1.43e-5), the order-`order` coefficients exceed
+    the double range, and ValueError says so.
     """
     z0 = complex(z0)
     if z0 == 0:
@@ -93,8 +94,13 @@ def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
             coeffs += [0j] * (order + 1 - k)
             radius *= 2.0 ** (-53 / k)
             break
-        coeffs.append((-1.0) ** (k - 1) / kz)
+        coeffs.append((-1.0) ** (k - 1) / kz if kz else math.inf)
         zk *= z0
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError(
+            f"the order-{order} coefficients of a log germ at |z0| = {abs(z0)!r} "
+            "exceed the double range"
+        )
     return Germ(z0, tuple(coeffs), radius)
 
 

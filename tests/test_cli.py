@@ -138,6 +138,14 @@ class TestContinue:
         assert out == ""
         assert err == "error: the path's total length exceeds the largest double\n"
 
+    def test_a_log_germ_too_close_to_zero_is_domain_error(self, capsys, tmp_path):
+        # z0^k underflows to 0 at |z0| = 1e-6 at the default order 64
+        path = write_path(tmp_path, "tiny.json", [1e-6, 2e-6])
+        code, out, err = run(capsys, "continue", "--path", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the order-64 coefficients of a log germ at |z0| = 1e-06")
+        assert "Traceback" not in err
+
     def test_bad_germ_spec(self, capsys, segment_file):
         code, _, err = run(capsys, "continue", "--path", segment_file, "--germ", "exp")
         assert code == 2
@@ -192,6 +200,12 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", "--path", path)
         assert (code, out) == (1, "")
         assert err.startswith("error: segment 1's length exceeds") and "Traceback" not in err
+
+    def test_an_exit_on_a_path_whose_length_overflows_is_domain_error(self, capsys, tmp_path):
+        path = write_path(tmp_path, "longexit.json", [0.5, 2, 1e308, 1e308j, -1e308])
+        code, out, err = run(capsys, "oracle", "--path", path)
+        assert (code, out) == (1, "")
+        assert err == "error: the path's total length exceeds the largest double\n"
 
     def test_zero_geom_tol_is_valid(self, capsys, tmp_path):
         path = write_path(tmp_path, "cross.json", [0.5, 2])

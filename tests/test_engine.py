@@ -17,7 +17,6 @@ from logstair import (
     Truncation,
     WrongBasePoint,
     build_map,
-    choose_lift_target,
     classify,
     continuable_exact,
     continue_along,
@@ -184,6 +183,21 @@ class TestOracle:
         with pytest.raises(WrongBasePoint):
             continuable_exact(validate_path([1.0, 2.0]))
 
+    def test_an_exit_on_a_path_whose_length_overflows_raises(self):
+        # the exit at z = 1 has no parameter once the total length is
+        # infinite; a continuable verdict needs none, on the routes to 1e308j
+        # and 1.5e308 and on fresh paths of their points
+        path = validate_path([0.5, 2.0, 1e308, 1e308j, -1e308])
+        assert path.total_length == math.inf
+        with pytest.raises(ValueError, match="total length exceeds the largest double"):
+            continuable_exact(path)
+        for omega in (1e308j, 1.5e308):
+            route = reach_path(omega)
+            assert route.total_length == math.inf
+            for p in (route, validate_path(route.points)):
+                v = continuable_exact(p)
+                assert v.verdict == "continuable" and v.first_exit_t is None
+
     def test_upward_path_continuable(self):
         v = continuable_exact(validate_path([0.5, 0.5 + 0.5j, 1j]))
         assert v.verdict == "continuable"
@@ -288,9 +302,9 @@ def _oracle_reference(path, geom_tol=GEOM_TOL):
 class TestOracleVerdicts:
     """The exact oracle's verdict is a function of the path's points (with
     the lift angles they give) and geom_tol, and each call decides every
-    segment anew, from its end lifts or by sampling; only a route skips the
-    leading segments its spine has certified, and a route that reach_path or
-    classify has certified skips them all (tests/test_monodromy.py)."""
+    segment anew, from its end lifts or by sampling; only a route, which
+    was certified segment by segment as it was built, skips them all at
+    GEOM_TOL (tests/test_monodromy.py)."""
 
     def test_repeat_returns_the_verdict(self, segment_runs):
         path = validate_path([0.5, 2.0])
@@ -342,16 +356,13 @@ class TestOracleVerdicts:
         assert len(segment_runs) == 8  # each call decides both segments
 
     def test_crosscheck_after_reach_path_runs_one_oracle(self, segment_runs):
-        # on a cold cache each route's oracle decides every segment once;
-        # reach_path and classify certify their routes whole, so crosscheck
-        # on a route or a witness samples nothing
+        # on a cold cache each route decides every segment once as it is
+        # built, so crosscheck on a route or a witness samples nothing
         route = reach_path(-0.5)
         assert len(segment_runs) == len(route.points) - 1
         segment_runs.clear()
         witness = classify(-E2, 2, 3).witness_path
         assert len(segment_runs) == len(witness.points) - 1
-        for path in (route, witness):
-            assert path._certified == len(path.points) - 1
         segment_runs.clear()
         for path in (route, witness):
             report = crosscheck(path, log_germ(0.5, 0.0))
@@ -387,12 +398,13 @@ class TestEndLiftCertificate:
     """A segment whose two end lifts clear it takes one membership test, at
     the corner (max Re, min Im) of their box; any other segment is sampled
     and bisected as before.  The oracle makes one more test, at the path's
-    start."""
+    start; a route, certified segment by segment as it is built, makes
+    none."""
 
     def test_a_cold_route_takes_one_test_per_segment(self, segment_runs, interior_tests):
         route = reach_path(-0.5)
         assert len(segment_runs) == len(route.points) - 1
-        assert len(interior_tests) == 1 + len(segment_runs)
+        assert len(interior_tests) == len(segment_runs)
 
     def test_a_chord_past_zero_takes_one_test(self, segment_runs, interior_tests):
         # the chord passes 0.0038 from 0, 1/338 of its length: sampling its
@@ -564,15 +576,13 @@ def test_log_chain_radii_track_centers(polar_pts):
 def test_certified_prefix_keeps_every_verdict(shape, end_column):
     # a polyline or the route to a target, optionally ending at e^m, the
     # image of the corner (m, 2 pi m); a verdict equals the reference's on
-    # the route as its spine builds it, whose leading segments the spine has
-    # certified, and on a fresh path of the same points, at GEOM_TOL and 1e-6
+    # the route, which was certified as it was built and whose segments the
+    # oracle decides only off GEOM_TOL, and on a fresh path of the same
+    # points, at GEOM_TOL and 1e-6
     kind, arg = shape
     try:
         if kind == "route":
-            omega = arg[0] * cmath.exp(1j * arg[1])
-            reach_path(omega)  # certifies the route's spine
-            path = monodromy._route(choose_lift_target(omega))
-            assert path._certified == path._shared - 1
+            path = reach_path(arg[0] * cmath.exp(1j * arg[1]))
         else:
             path = validate_path([0.5] + [r * cmath.exp(1j * a) for r, a in arg])
         if end_column is not None:

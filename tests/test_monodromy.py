@@ -18,7 +18,6 @@ from logstair import (
     FRefresh,
     NoRefresh,
     NotOnSlit,
-    OracleVerdict,
     RoutingFailure,
     Truncation,
     boundary_distance,
@@ -89,13 +88,12 @@ class TestClassify:
 
     def test_witness_is_routed_on_first_read(self, monkeypatch):
         routed = []
-        inner = monodromy._path_to_lift
-        monkeypatch.setattr(monodromy, "_path_to_lift", lambda t: routed.append(t) or inner(t))
+        inner = monodromy._route
+        monkeypatch.setattr(monodromy, "_route", lambda t: routed.append(t) or inner(t))
         r = classify(-E2, 2, 3)
         assert routed == []
         witness = r.witness_path
         assert routed == [r.lift_end] and r.witness_path is witness
-        assert witness._certified == len(witness.points) - 1
         assert abs(witness.end + E2) < 1e-9
         assert classify(-E2, 2, 2).witness_path is None and len(routed) == 1
 
@@ -473,14 +471,12 @@ class TestSpines:
     @given(route_targets)
     @settings(max_examples=200, deadline=None)
     def test_certified_prefix_gives_the_full_pass_verdict(self, target):
-        # the oracle on a route, which starts after the segments its spine
-        # has certified, and on a fresh path of the same points
+        # the oracle on a route, which was certified segment by segment as
+        # it was built, and on a fresh path of the same points
         try:
-            monodromy._path_to_lift(target)
+            path = monodromy._route(target)
         except RoutingFailure:
             assume(False)
-        path = monodromy._route(target)
-        assert path._certified == path._shared - 1
         for geom_tol in (GEOM_TOL, 1e-6):
             full = continuable_exact(validate_path(path.points), geom_tol)
             assert continuable_exact(path, geom_tol) == full
@@ -493,12 +489,12 @@ class TestSpines:
             return path._dist == tuple(_seg_dist(0j, a, b) for a, b in zip(pts, pts[1:]))
 
         low = reach_path(cmath.exp(complex(0.8, 3.0)))
-        spine = low._steps[0]
+        spine = low._spine
         held = len(spine.points)
         assert measured(low) and measured(validate_path(low.points))
         assert measured(reach_path(cmath.exp(complex(0.8, 3.0))))  # served
         high = reach_path(cmath.exp(complex(0.3, 5.5)))
-        assert high._steps[0] is spine and len(spine.points) > held  # grew it
+        assert high._spine is spine and len(spine.points) > held  # grew it
         assert measured(high)
         assert measured(reach_path(cmath.exp(complex(0.9, 4.0))))
         assert len(spine.dist) == len(spine.points) - 1
@@ -509,9 +505,8 @@ class TestSpines:
         reach_path(cmath.exp(complex(0.3, 5.5)))
         assert len(sampled) > 60
         sampled.clear()
-        omega = cmath.exp(complex(0.8, 3.0))
-        path = reach_path(omega)
-        k = monodromy._route(choose_lift_target(omega))._shared - 1  # the spine's share
+        path = reach_path(cmath.exp(complex(0.8, 3.0)))
+        k = path._shared - 1  # the spine's share
         assert abs(path._lift[k] - complex(0.5, 0.05 + 29 * monodromy.EXP_STEP)) < 1e-12
         assert sampled == _segments(path, k)
         assert len(sampled) == 4  # the corridor's last chord, three level ones
@@ -523,7 +518,7 @@ class TestSpines:
         sampled.clear()
         row = classify(E2 * cmath.exp(2j), 2, 3)
         low = row.witness_path
-        k = monodromy._route(row.lift_end)._shared - 1  # the spine's share
+        k = low._shared - 1  # the spine's share
         assert low.points[: k + 1] == high.points[: k + 1]
         assert sampled == _segments(low, k) and len(sampled) == 1
 
@@ -539,13 +534,8 @@ class TestSpines:
             spines = cold_spines._spines
             held = sum(len(s.points) for s in spines.values())
             assert held <= 300 or len(spines) == 1
-            # the route carries its own spine (the most recently used) and a
-            # live view of every kept spine and no other
-            own, kept = path._steps
-            assert own is next(reversed(spines.values()))
-            assert list(kept) == list(spines.values())
-        spines.clear()
-        assert not list(kept)
+            # the route carries its own spine, the most recently used
+            assert path._spine is next(reversed(spines.values()))
 
     def test_eviction_keeps_its_order(self, cold_spines, monkeypatch):
         # three passes over BOUNDED_TARGETS at a bound of 300 vertices, then
@@ -646,7 +636,7 @@ class TestSpineChains:
         spines = set()
         for omega in self.CORRIDOR:
             path = reach_path(omega)
-            spines.add(id(path._steps[0]))
+            spines.add(id(path._spine))
             plain = validate_path(path.points)
             chains = []
             for f, hook in maps:
@@ -753,13 +743,13 @@ class TestSpineChains:
 
         low = reach_path(cmath.exp(complex(0.8, 3.0)))
         continue_along(f, low, counted)
-        b = low._steps[0]
+        b = low._spine
         kept_by_b = len(b.steps)
         a = reach_path(cmath.exp(complex(1.5, TWO_PI + 3.0)))
-        assert a._steps[0] is not b and b in a._steps[1]
+        assert a._spine is not b and b in cold_spines._spines.values()
         continue_along(f, a, counted)
         high = reach_path(cmath.exp(complex(0.8, 5.5)))
-        assert high._steps[0] is b and len(b.steps) == kept_by_b
+        assert high._spine is b and len(b.steps) == kept_by_b
         stepped.clear()
         refreshed.clear()
         want = continue_along(f, validate_path(high.points), counted)
@@ -788,7 +778,7 @@ class TestSpineChains:
 
         low = reach_path(cmath.exp(complex(0.8, 3.0)))
         a = reach_path(cmath.exp(complex(1.5, TWO_PI + 3.0)))
-        assert a._steps[0] is not low._steps[0]
+        assert a._spine is not low._spine
         continue_along(f, a, counted)
         stepped.clear()
         refreshed.clear()
@@ -815,7 +805,7 @@ class TestSpineChains:
         deep = reach_path(cmath.exp(complex(-1.7, -11.0)))
         first = continue_along(f, deep, counted)
         assert first.reason.startswith("refresh failed")
-        assert deep._steps[0].steps[-1][4] == first.reason
+        assert deep._spine.steps[-1][4] == first.reason
         path = reach_path(cmath.exp(complex(-1.3, -8.5)))
         refreshed.clear()
         second = continue_along(f, path, counted)
@@ -914,8 +904,8 @@ class TestSpineChains:
         # each (center, lift) once
         f, hook = f_germ_at_base(default_cmap), FRefresh(default_cmap)
         paths = [reach_path(omega) for omega in self.CORRIDOR]
-        store = paths[0]._steps[0]
-        assert all(p._steps[0] is store for p in paths)
+        store = paths[0]._spine
+        assert all(p._spine is store for p in paths)
         want = [_chain_bits(continue_along(f, validate_path(p.points), hook)) for p in paths]
         refreshed = []
 
@@ -952,7 +942,7 @@ class TestSpineChains:
         # is not a LogstairError, or when no hook is given for a germ that
         # needs one, and its store keeps no step
         path = reach_path(self.CORRIDOR[0])
-        store, f = path._steps[0], f_germ_at_base(default_cmap)
+        store, f = path._spine, f_germ_at_base(default_cmap)
 
         def broken(center, lift, prev):
             raise ValueError("not a LogstairError")
@@ -968,17 +958,30 @@ class TestSpineChains:
 
 
 class TestCertificate:
-    @pytest.mark.parametrize(
-        "verdict",
-        [OracleVerdict("blocked", 0.5, 0.5 + 0j), OracleVerdict("continuable", None, 0j)],
-    )
-    def test_oracle_verdict_is_consulted(self, monkeypatch, verdict):
-        monkeypatch.setattr(monodromy, "continuable_exact", lambda path: verdict)
+    @pytest.mark.parametrize("verdict", [(0.5, 0.0), (None, 1e-6)])
+    def test_oracle_verdict_is_consulted(self, monkeypatch, cold_spines, verdict):
+        # verdict: the exit fraction the oracle's segment test reports on
+        # every segment, and how far right the route's last waypoint moves.
+        # An exit refuses the route and drops the spine it was on; a lift
+        # that ends off its target refuses the route too
+        s_exit, shift = verdict
+        tested, inner = [], monodromy._route_lift
+
+        def route_lift(target):
+            spine, tail = inner(target)
+            return spine, tail[:-1] + [tail[-1] + shift]
+
+        monkeypatch.setattr(engine, "_segment_exit", lambda *args: tested.append(args) or s_exit)
+        monkeypatch.setattr(monodromy, "_route_lift", route_lift)
         with pytest.raises(RoutingFailure):
             reach_path(2j)
         with pytest.raises(RoutingFailure):
             classify(-E2, 2, 3).witness_path
-        assert classify(-E2, 2, 2).verdict == "blocked"  # no witness, no oracle
+        assert tested and (s_exit is None or not cold_spines._spines)
+        tested.clear()
+        row = classify(-E2, 2, 2)
+        assert row.verdict == "blocked" and row.witness_path is None
+        assert tested == []  # no witness, no oracle
 
 
 @pytest.fixture(scope="module")

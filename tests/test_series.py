@@ -96,6 +96,14 @@ class TestLogGerm:
         with pytest.raises(ZeroCenter):
             log_germ(0.0, 0.0)
 
+    @pytest.mark.parametrize("z0", [1.2e-5, 1e-6, -2e-6j, 1e-300, 5e-324])
+    def test_a_tiny_center_is_one_domain_error(self, z0):
+        # 1/(k z0^k) overflows (1.2e-5) or z0^k underflows to 0 (the rest)
+        # at order 64; a lower order keeps every coefficient finite
+        with pytest.raises(ValueError, match=r"order-64 coefficients .* exceed the double range"):
+            log_germ(z0, 0.0, 64)
+        assert log_germ(1e-6, 0.0, 8).radius_est == 1e-6
+
     def test_value_near_center(self):
         g = log_germ(2.0 - 1.0j, cmath.phase(2.0 - 1.0j), 48)
         w = 2.2 - 0.9j
