@@ -61,6 +61,12 @@ def _parse_scalar(text: str, field: str) -> float:
         raise _FieldError(f"{field}: expected a number, got {text!r}") from None
 
 
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
+        raise _FieldError(f"{flag}: expected a finite number, got {value!r}")
+    return value
+
+
 def _at_least(value: int, low: int, flag: str) -> int:
     if value < low:
         raise _FieldError(f"{flag}: expected an integer >= {low}, got {value}")
@@ -124,7 +130,8 @@ def _make_germ(spec: str, start: complex, order: int):
     if kind == "log" and len(parts) == 1:
         return log_germ(start, 0.0, order), None
     if kind == "log" and len(parts) == 2:
-        return log_germ(start, _parse_scalar(parts[1], "--germ"), order), None
+        branch_im = _finite(_parse_scalar(parts[1], "--germ"), "--germ")
+        return log_germ(start, branch_im, order), None
     if kind == "h" and len(parts) == 1:
         return h_germ(start, order), lambda center, lift, prev: h_germ(center, order)
     raise _FieldError(f"--germ: expected log, log:BRANCH_IM, or h, got {spec!r}")
@@ -193,8 +200,9 @@ def _cmd_wind(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    branch_im = _finite(args.branch_im, "--branch-im")
     path = _read_path(args.path)
-    lift = lift_log(path, args.branch_im)
+    lift = lift_log(path, branch_im)
     rows = ["lift_re,lift_im"]
     rows += [_fmt_c(p) for p in lift.points]
     _emit("\n".join(rows) + "\n", args.out)

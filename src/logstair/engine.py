@@ -328,7 +328,26 @@ def _segment_exit(
     (1 + D/r)(1 + |theta_a| + |theta_b|); the margin takes 1e-12 (about
     4,500 u) times that product.  The computed in_interior is monotone as
     well, since rounding is, so a cleared chord is one on which sampling
-    would have returned None: every verdict and exit is the sampled one."""
+    would have returned None: every verdict and exit is the sampled one.
+
+    On a chord the box does not clear, a sample inside the disc |z| < r is
+    interior with no lift computed, and only the samples outside it are
+    lifted.  By the same margin no computed sample's angle falls below the
+    box's lower edge, low = min(Im lift_a, Im lift_b) - margin.  Let c be
+    the highest column whose floor low clears, low - 2 pi c > geom_tol as
+    in_interior computes it (tried from floor((low - geom_tol) / 2 pi) + 1
+    down to two below; r = 0 if none clears), and
+    r = e^(c + 1 - |geom_tol|) (1 - 1e-12), 0 below e^-708, where exp leaves
+    the normal range, and capped at e^709.  The sample's abs(z) is the
+    modulus whose log the lift takes, and for abs(z) < r that log lies below
+    c + 1 - |geom_tol| by the 1e-12 less the roundings of the exponent, exp,
+    the product and log, each under 1.2e-13 for exponents below 710 in
+    modulus.  So its column, floor(log|z|) unless it snaps onto a glue line
+    within geom_tol (none for a negative geom_tol), is at most c, and the
+    computed 2 pi column is at most 2 pi c: Im - 2 pi column >=
+    low - 2 pi c > geom_tol, and the sample is interior.  The samples, the
+    first non-interior one and the bisection are those of a chord that
+    lifts every sample."""
     d = b - a
     arc_bound = abs(d) / dist
     theta_a = lift_a.imag
@@ -338,12 +357,21 @@ def _segment_exit(
     )
     if in_interior(worst, geom_tol):
         return None
+    low = worst.imag
+    c = math.floor((low - geom_tol) / TWO_PI) + 1
+    r = 0.0
+    for c in (c, c - 1, c - 2):
+        if low - TWO_PI * c > geom_tol:
+            x = c + 1 - abs(geom_tol)
+            r = math.exp(min(x, 709.0)) * (1.0 - 1e-12) if x > -708.0 else 0.0
+            break
     n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
     lift = _chord_lift(a, b, dist)
     s_prev = 0.0
     for j in range(1, n_sub + 1):
         s_bad = j / n_sub
-        if in_interior(lift(a, theta_a, a + s_bad * d), geom_tol):
+        z = a + s_bad * d
+        if abs(z) < r or in_interior(lift(a, theta_a, z), geom_tol):
             s_prev = s_bad
             continue
         lo, hi = s_prev, s_bad

@@ -78,13 +78,16 @@ def log_germ(z0, branch_im: float = 0.0, order: int = DEFAULT_ORDER) -> Germ:
     |z0| >= 1 gives a germ, however large.  Small |z0| has no such way out:
     once 1/(k z0^k) overflows, or z0^k underflows to 0 (at the default
     order, |z0| below about 1.43e-5), the order-`order` coefficients exceed
-    the double range, and ValueError says so.
+    the double range, and ValueError says so.  A branch_im that is not
+    finite raises ValueError.
     """
     z0 = complex(z0)
     if z0 == 0:
         raise ZeroCenter("log germ centered at 0")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if not math.isfinite(branch_im):
+        raise ValueError(f"branch_im must be finite, got {branch_im!r}")
     radius = abs(z0)
     coeffs = [complex(math.log(radius), branch_im)]
     zk = z0

@@ -89,11 +89,11 @@ class TestLift:
         assert dest.read_text().splitlines()[0] == "lift_re,lift_im"
 
     @pytest.mark.parametrize("branch", ["inf", "nan", "-inf"])
-    def test_non_finite_branch_is_domain_error(self, capsys, segment_file, branch):
+    def test_non_finite_branch_is_field_error(self, capsys, segment_file, branch):
         code, out, err = run(capsys, "lift", "--path", segment_file, f"--branch-im={branch}")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: start_branch_im must be finite")
+        assert err.startswith("error: --branch-im: expected a finite number")
         assert "Traceback" not in err
 
 
@@ -113,6 +113,14 @@ class TestContinue:
         assert code == 0
         expected = complex(math.log(2), TWO_PI)
         assert parse_pair(grab(out, "value")) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("branch", ["inf", "nan", "-inf", "nanpi"])
+    def test_non_finite_branch_is_field_error(self, capsys, segment_file, branch):
+        code, out, err = run(capsys, "continue", "--path", segment_file, f"--germ=log:{branch}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --germ: expected a finite number")
+        assert "Traceback" not in err
 
     def test_h_germ_fails_past_boundary(self, capsys, tmp_path):
         path = write_path(tmp_path, "out.json", [0.5, 2])

@@ -397,7 +397,9 @@ def interior_tests(monkeypatch):
 class TestEndLiftCertificate:
     """A segment whose two end lifts clear it takes one membership test, at
     the corner (max Re, min Im) of their box; any other segment is sampled
-    and bisected as before.  The oracle makes one more test, at the path's
+    and bisected as before, but a sample inside the disc |z| < r that the
+    box's lower edge clears is interior with no lift, and only the others
+    are lifted and tested.  The oracle makes one more test, at the path's
     start; a route, certified segment by segment as it is built, makes
     none."""
 
@@ -416,12 +418,49 @@ class TestEndLiftCertificate:
 
     def test_a_blocked_segment_is_still_sampled(self, segment_runs, interior_tests):
         # the lift crosses the floor of column 0 at z = 1: the corner test
-        # fails, then 200 of the 600 samples run up to z = 1 and 60
-        # bisections sharpen the exit
+        # fails, the 199 samples below |z| = 1 are cleared by their modulus,
+        # the one at z = 1 is tested and 60 bisections sharpen the exit
         v = continuable_exact(validate_path([0.5, 2.0]))
         assert v.verdict == "blocked"
         assert v.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
-        assert len(segment_runs) == 1 and len(interior_tests) == 2 + 200 + 60
+        assert len(segment_runs) == 1 and len(interior_tests) == 2 + 1 + 60
+
+    def test_only_the_samples_outside_the_disc_are_lifted(self, monkeypatch):
+        # the chord passes 0.01 from 0 and ends at |z| ~ 2: its end lifts'
+        # angles, 0 and ~pi, clear the floor of column -1, so every sample
+        # with |z| < e^(-1e-9) is interior by its modulus; the rest, in
+        # column 0 at angles near pi, are lifted and interior
+        a, b = 0.5 + 0j, -2 + 0.05j
+        lifted = []
+
+        def counted(a, theta_a, z):
+            lifted.append(z)
+            return lift_point(a, theta_a, z)
+
+        monkeypatch.setattr(paths, "_lift_unscaled", counted)
+        path = validate_path([a, b])
+        v = continuable_exact(path)
+        assert v.verdict == "continuable" and v == _oracle_reference(path)
+        n_sub = math.ceil(abs(b - a) / _seg_dist(0j, a, b) / engine._ORACLE_ARC)
+        moduli = [abs(a + j / n_sub * (b - a)) for j in range(1, n_sub + 1)]
+        assert not any(1.0 - 1e-6 < m < 1.0 for m in moduli)
+        outside = [m for m in moduli if m >= 1.0]
+        assert len(lifted) == len(outside) and 0 < len(outside) < n_sub // 2
+
+    def test_the_disc_stops_short_of_the_glue_line(self):
+        # near |z| = e^700 log rounds to multiples of 1.1e-13, so hundreds of
+        # moduli just below e^(700 - 1e-9) have a log within 1e-9 of 700, on
+        # the glue line of column 700; the chord from b/2 to b, which lifts
+        # 1 above the floor of column 699, meets it at its last sample, b
+        # itself, which the disc's 1e-12 leaves out
+        b = math.nextafter(math.exp(700.0 - GEOM_TOL), 0.0)
+        while abs(math.log(b) - 700) > GEOM_TOL:
+            b = math.nextafter(b, 0.0)
+        a, theta = 0.5 * b, TWO_PI * 699 + 1.0
+        lift_a, lift_b = complex(math.log(a), theta), lift_point(a, theta, b)
+        s_exit = engine._segment_exit(a, b, a, lift_a, lift_b, GEOM_TOL)
+        assert s_exit is not None
+        assert repr(s_exit) == repr(_exit_reference(a, b, theta, GEOM_TOL))
 
 
 @pytest.mark.parametrize("c", [400, -400])
@@ -683,6 +722,48 @@ def test_end_lift_certificate_near_zero(edge, log_offset, log_gap):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_ORACLE_ARC", abs(b - a) / _seg_dist(0j, a, b) / 1999.5)
         assert continuable_exact(path, geom_tol) == _oracle_reference(path, geom_tol)
+
+
+# where the chord's ends lie: log|z| - n drawn freely, or on (or within a
+# few tolerances of) the glue line x = n or x = n + 1
+chord_ends = st.tuples(st.floats(-0.9, 1.9), st.sampled_from([None, 0, 1]), st.floats(-3.0, 3.0))
+
+
+@given(
+    st.integers(-1, 1),
+    st.floats(-17.0, -6.0),
+    st.booleans(),
+    st.floats(0.0, 2.5),
+    chord_ends,
+    chord_ends,
+    st.booleans(),
+    st.sampled_from([GEOM_TOL, 1e-6]),
+)
+@example(0, -17.0, True, 1.0, (0.0, 1, 0.0), (1.5, None, 0.0), False, GEOM_TOL)
+@example(0, -8.0, False, 0.5, (0.0, 1, 1.0), (0.0, 1, -1.0), True, 1e-6)
+# the lowest angle sits by the floor of column -710: the disc's radius
+# e^(c + 1 - geom_tol) underflows to 0, and every sample is lifted
+@example(-710, -9.0, True, 1.0, (1.7, None, 0.0), (1.9, None, 0.0), False, GEOM_TOL)
+@settings(max_examples=200, deadline=None)
+def test_the_modulus_disc_keeps_every_exit(n, log_offset, above, rise, end_a, end_b, flip, tol):
+    # a chord whose lowest end angle sits 1e-17..1e-6 above or below the
+    # floor of column n at tol, rising by rise to its other end, with ends
+    # whose moduli cross e^n and e^(n + 1), some within tol of the glue
+    # line: its exit, at GEOM_TOL and at 1e-6, is the one the reference
+    # finds by lifting every sample
+    theta_low = TWO_PI * n + tol + (1.0 if above else -1.0) * 10.0**log_offset
+    xs = [n + (u if k is None else k + g * tol) for u, k, g in (end_a, end_b)]
+    thetas = [theta_low, theta_low + rise]
+    if flip:
+        thetas.reverse()
+    a, b = (cmath.exp(complex(x, theta)) for x, theta in zip(xs, thetas))
+    assume(a != b)
+    lift_a = complex(math.log(abs(a)), thetas[0])
+    lift_b = lift_point(a, thetas[0], b)
+    dist = _seg_dist(0j, a, b)
+    for geom_tol in (GEOM_TOL, 1e-6):
+        s_exit = engine._segment_exit(a, b, dist, lift_a, lift_b, geom_tol)
+        assert repr(s_exit) == repr(_exit_reference(a, b, thetas[0], geom_tol))
 
 
 def _bisected_step(path, t0, center, cap):

@@ -104,6 +104,12 @@ class TestLogGerm:
             log_germ(z0, 0.0, 64)
         assert log_germ(1e-6, 0.0, 8).radius_est == 1e-6
 
+    @pytest.mark.parametrize("branch_im", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_branch_is_named(self, branch_im):
+        # not the coefficients' overflow, which a center of 0.5 cannot reach
+        with pytest.raises(ValueError, match=r"^branch_im must be finite, got (nan|inf|-inf)$"):
+            log_germ(0.5, branch_im)
+
     def test_value_near_center(self):
         g = log_germ(2.0 - 1.0j, cmath.phase(2.0 - 1.0j), 48)
         w = 2.2 - 0.9j
