@@ -9,6 +9,7 @@ Exit status: 0 on success (a "blocked" verdict is a successful answer),
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -61,8 +62,8 @@ def _parse_scalar(text: str, field: str) -> float:
         raise _FieldError(f"{field}: expected a number, got {text!r}") from None
 
 
-def _finite(value: float, flag: str) -> float:
-    if not math.isfinite(value):
+def _finite(value: complex, flag: str) -> complex:
+    if not cmath.isfinite(value):
         raise _FieldError(f"{flag}: expected a finite number, got {value!r}")
     return value
 
@@ -244,7 +245,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    omega = _parse_complex(args.omega, "--omega")
+    omega = _finite(_parse_complex(args.omega, "--omega"), "--omega")
     report = classify(omega, args.m, args.n)
     sys.stdout.write(f"verdict={report.verdict}\n")
     sys.stdout.write(f"lift_end={_fmt_c(report.lift_end)}\n")
@@ -279,7 +280,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    omega = _parse_complex(args.omega, "--omega")
+    omega = _finite(_parse_complex(args.omega, "--omega"), "--omega")
     path = reach_path(omega)
     _emit(_path_json(path), args.out)
     sys.stdout.write(f"W={winding_number(path)}\n")

@@ -338,16 +338,31 @@ def _segment_exit(
     in_interior computes it (tried from floor((low - geom_tol) / 2 pi) + 1
     down to two below; r = 0 if none clears), and
     r = e^(c + 1 - |geom_tol|) (1 - 1e-12), 0 below e^-708, where exp leaves
-    the normal range, and capped at e^709.  The sample's abs(z) is the
-    modulus whose log the lift takes, and for abs(z) < r that log lies below
-    c + 1 - |geom_tol| by the 1e-12 less the roundings of the exponent, exp,
-    the product and log, each under 1.2e-13 for exponents below 710 in
-    modulus.  So its column, floor(log|z|) unless it snaps onto a glue line
-    within geom_tol (none for a negative geom_tol), is at most c, and the
-    computed 2 pi column is at most 2 pi c: Im - 2 pi column >=
-    low - 2 pi c > geom_tol, and the sample is interior.  The samples, the
-    first non-interior one and the bisection are those of a chord that
-    lifts every sample."""
+    the normal range, and capped at e^709 (_disc).  The sample's abs(z) is
+    the modulus whose log the lift takes, and for abs(z) < r that log lies
+    below c + 1 - |geom_tol| by the 1e-12 less the roundings of the
+    exponent, exp, the product and log, each under 1.2e-13 for exponents
+    below 710 in modulus.  So its column, floor(log|z|) unless it snaps onto
+    a glue line within geom_tol (none for a negative geom_tol), is at most
+    c, and the computed 2 pi column is at most 2 pi c: Im - 2 pi column >=
+    low - 2 pi c > geom_tol, and the sample is interior.
+
+    The disc rises with the lift.  The lift's angle is monotone along the
+    chord, so past a sample j every exact angle lies between j's and b's,
+    at or above min(theta_j, Im lift_b).  A computed angle strays from the
+    exact one by what the margin's count above allows a sample or an end,
+    so two computed angles, at j and at a later sample or at b, stray by
+    less than 2,000 u of the product between them: no later sample's
+    computed angle falls below min(w_j, Im lift_b) - margin, w_j the angle
+    lifted at j.  So once a lifted, interior sample has w_j - margin
+    clearing the floor of column c + 1, and Im lift_b - margin clears it
+    too, the rule above applies with c + 1 for c, and the disc grows to
+    e^(c + 2 - |geom_tol|) (1 - 1e-12).  The chord subtends less than pi at
+    0, so its angles span less than one column's height and the disc rises
+    at most once; on a chord whose angle falls, Im lift_b is the lower end,
+    b's floor is low's, and it does not rise.  The samples, the first
+    non-interior one and the bisection are those of a chord that lifts
+    every sample."""
     d = b - a
     arc_bound = abs(d) / dist
     theta_a = lift_a.imag
@@ -357,21 +372,22 @@ def _segment_exit(
     )
     if in_interior(worst, geom_tol):
         return None
-    low = worst.imag
-    c = math.floor((low - geom_tol) / TWO_PI) + 1
-    r = 0.0
-    for c in (c, c - 1, c - 2):
-        if low - TWO_PI * c > geom_tol:
-            x = c + 1 - abs(geom_tol)
-            r = math.exp(min(x, 709.0)) * (1.0 - 1e-12) if x > -708.0 else 0.0
-            break
+    c, r = _disc(worst.imag, geom_tol)
+    c_b, r_b = _disc(lift_b.imag - margin, geom_tol)
+    floor_up = TWO_PI * c_b if c is not None and c_b == c + 1 else math.inf
     n_sub = max(1, math.ceil(arc_bound / _ORACLE_ARC))
     lift = _chord_lift(a, b, dist)
     s_prev = 0.0
     for j in range(1, n_sub + 1):
         s_bad = j / n_sub
         z = a + s_bad * d
-        if abs(z) < r or in_interior(lift(a, theta_a, z), geom_tol):
+        if abs(z) < r:
+            s_prev = s_bad
+            continue
+        w = lift(a, theta_a, z)
+        if in_interior(w, geom_tol):
+            if w.imag - margin - floor_up > geom_tol:
+                r = r_b
             s_prev = s_bad
             continue
         lo, hi = s_prev, s_bad
@@ -383,6 +399,21 @@ def _segment_exit(
                 hi = mid
         return hi + (s_bad - hi) * 1e-6
     return None
+
+
+def _disc(low: float, geom_tol: float):
+    """(c, r) for angles no lower than low: the highest column c whose
+    floor low clears, low - 2 pi c > geom_tol as in_interior computes it
+    (tried from floor((low - geom_tol) / 2 pi) + 1 down to two below), and
+    the radius r = e^(c + 1 - |geom_tol|) (1 - 1e-12) of the disc in which
+    every such point is interior, 0 below e^-708 and capped at e^709
+    (see _segment_exit); (None, 0.0) if no floor is cleared."""
+    c = math.floor((low - geom_tol) / TWO_PI) + 1
+    for c in (c, c - 1, c - 2):
+        if low - TWO_PI * c > geom_tol:
+            x = c + 1 - abs(geom_tol)
+            return c, math.exp(min(x, 709.0)) * (1.0 - 1e-12) if x > -708.0 else 0.0
+    return None, 0.0
 
 
 def overlap_disagreement(chain: ContinuationChain, points_per_junction: int = 8) -> float:

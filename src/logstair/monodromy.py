@@ -316,9 +316,11 @@ def classify(omega, M: int, N: int) -> ClassificationReport:
     land at M + i(arg0 + 2*pi*N) with arg0 in [-2*pi, 0), segment targets at
     ln(omega) + 2*pi*(N-1)i.  The verdict is the staircase status of that
     point alone; the report's witness_path, certified like reach_path's, is
-    routed when it is first read.
+    routed when it is first read.  A non-finite omega raises ValueError.
     """
     omega = complex(omega)
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if not slit_contains(omega, M):
         raise NotOnSlit(f"{omega} is not on the circle/segment pair of index {M}")
     if on_circle(omega, M):

@@ -285,6 +285,14 @@ class TestClassify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("omega", ["1e400,0", "nan", "1,-inf", "inf,0"])
+    def test_non_finite_omega_is_field_error(self, capsys, omega):
+        code, out, err = run(capsys, "classify", f"--omega={omega}", "--m=0", "--n=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --omega: expected a finite number")
+        assert "Traceback" not in err
+
 
 class TestTable:
     ARGS = ("table", "--m-range", "0:1", "--n-offsets", "0,1", "--samples", "2")
@@ -353,12 +361,12 @@ class TestReach:
         assert code == 1
         assert "error:" in err
 
-    @pytest.mark.parametrize("omega", ["1e400,0", "nan", "1,-inf"])
-    def test_non_finite_omega_is_domain_error(self, capsys, omega):
+    @pytest.mark.parametrize("omega", ["1e400,0", "nan", "1,-inf", "inf,0"])
+    def test_non_finite_omega_is_field_error(self, capsys, omega):
         code, out, err = run(capsys, "reach", f"--omega={omega}")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: omega must be finite")
+        assert err.startswith("error: --omega: expected a finite number")
         assert "Traceback" not in err
 
 

@@ -399,9 +399,10 @@ class TestEndLiftCertificate:
     the corner (max Re, min Im) of their box; any other segment is sampled
     and bisected as before, but a sample inside the disc |z| < r that the
     box's lower edge clears is interior with no lift, and only the others
-    are lifted and tested.  The oracle makes one more test, at the path's
-    start; a route, certified segment by segment as it is built, makes
-    none."""
+    are lifted and tested.  The disc rises once a lifted sample's angle,
+    and b's, clear the next floor.  The oracle makes one more test, at the
+    path's start; a route, certified segment by segment as it is built,
+    makes none."""
 
     def test_a_cold_route_takes_one_test_per_segment(self, segment_runs, interior_tests):
         route = reach_path(-0.5)
@@ -425,12 +426,9 @@ class TestEndLiftCertificate:
         assert v.first_exit_t == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert len(segment_runs) == 1 and len(interior_tests) == 2 + 1 + 60
 
-    def test_only_the_samples_outside_the_disc_are_lifted(self, monkeypatch):
-        # the chord passes 0.01 from 0 and ends at |z| ~ 2: its end lifts'
-        # angles, 0 and ~pi, clear the floor of column -1, so every sample
-        # with |z| < e^(-1e-9) is interior by its modulus; the rest, in
-        # column 0 at angles near pi, are lifted and interior
-        a, b = 0.5 + 0j, -2 + 0.05j
+    @staticmethod
+    def _lifted(monkeypatch):
+        """The points the oracle's samples and bisections lift."""
         lifted = []
 
         def counted(a, theta_a, z):
@@ -438,14 +436,63 @@ class TestEndLiftCertificate:
             return lift_point(a, theta_a, z)
 
         monkeypatch.setattr(paths, "_lift_unscaled", counted)
+        return lifted
+
+    def test_only_the_samples_outside_the_disc_are_lifted(self, monkeypatch):
+        # the chord passes 0.01 from 0 and ends at |z| ~ 2: its end lifts'
+        # angles, 0 and ~pi, clear the floor of column -1, so every sample
+        # with |z| < e^(-1e-9) is interior by its modulus.  The first one
+        # outside, in column 0 at an angle near pi, is lifted: its angle and
+        # b's clear the floor of column 0, the disc rises to e^(1 - 1e-9),
+        # past b, and no other sample is lifted
+        a, b = 0.5 + 0j, -2 + 0.05j
+        lifted = self._lifted(monkeypatch)
         path = validate_path([a, b])
         v = continuable_exact(path)
         assert v.verdict == "continuable" and v == _oracle_reference(path)
         n_sub = math.ceil(abs(b - a) / _seg_dist(0j, a, b) / engine._ORACLE_ARC)
         moduli = [abs(a + j / n_sub * (b - a)) for j in range(1, n_sub + 1)]
         assert not any(1.0 - 1e-6 < m < 1.0 for m in moduli)
-        outside = [m for m in moduli if m >= 1.0]
-        assert len(lifted) == len(outside) and 0 < len(outside) < n_sub // 2
+        first = next(j for j, m in enumerate(moduli, 1) if m >= 1.0)
+        assert lifted == [a + first / n_sub * (b - a)]
+
+    def test_the_risen_disc_keeps_the_exit(self, monkeypatch):
+        # as above, but the chord ends at |z| ~ 4: past the risen disc, at
+        # |z| = e, it meets the riser of column 1 at an angle near pi.  One
+        # sample is lifted where the disc rises, one where it exits, and 60
+        # bisections sharpen the exit
+        a, b = 0.5 + 0j, -4 + 0.05j
+        lifted = self._lifted(monkeypatch)
+        path = validate_path([a, b])
+        s_exit = engine._segment_exit(a, b, path._dist[0], path._lift[0], path._lift[1], GEOM_TOL)
+        assert len(lifted) == 1 + 1 + 60
+        assert repr(s_exit) == repr(_exit_reference(a, b, 0.0, GEOM_TOL))
+        assert abs(a + s_exit * (b - a)) == pytest.approx(math.e, abs=1e-6)
+        v = continuable_exact(path)
+        assert v.verdict == "blocked" and v == _oracle_reference(path)
+
+    def test_a_falling_angle_does_not_raise_the_disc(self, monkeypatch):
+        # the lift falls from 1 above the floor of column 1 to 1 below it at
+        # |z| = e^1.5.  The samples near a clear that floor, but b's angle
+        # does not, so the disc stays e^(1 - 1e-9) and the samples near b,
+        # below the floor of column 1, are lifted and found blocked
+        theta_a, theta_b = TWO_PI + 1.0, TWO_PI - 1.0
+        a, b = cmath.exp(complex(1.5, theta_a)), cmath.exp(complex(1.5, theta_b))
+        lift_a = complex(math.log(abs(a)), theta_a)
+        lift_b = lift_point(a, theta_a, b)
+        lifted = self._lifted(monkeypatch)
+        s_exit = engine._segment_exit(a, b, _seg_dist(0j, a, b), lift_a, lift_b, GEOM_TOL)
+        assert s_exit is not None
+        assert repr(s_exit) == repr(_exit_reference(a, b, theta_a, GEOM_TOL))
+        # the samples before the disc are lifted, then the first one past
+        # it, where |z| = e again and the angle is below 2 pi, and 60
+        # bisections
+        n_sub = math.ceil(abs(b - a) / _seg_dist(0j, a, b) / engine._ORACLE_ARC)
+        moduli = [abs(a + j / n_sub * (b - a)) for j in range(1, n_sub + 1)]
+        assert not any(math.e - 1e-6 < m < math.e for m in moduli)
+        first_in = next(j for j, m in enumerate(moduli, 1) if m < math.e)
+        assert len(lifted) == (first_in - 1) + 1 + 60
+        assert math.log(abs(a + s_exit * (b - a))) == pytest.approx(1.0, abs=1e-6)
 
     def test_the_disc_stops_short_of_the_glue_line(self):
         # near |z| = e^700 log rounds to multiples of 1.1e-13, so hundreds of
@@ -738,22 +785,37 @@ chord_ends = st.tuples(st.floats(-0.9, 1.9), st.sampled_from([None, 0, 1]), st.f
     chord_ends,
     st.booleans(),
     st.sampled_from([GEOM_TOL, 1e-6]),
+    st.booleans(),
 )
-@example(0, -17.0, True, 1.0, (0.0, 1, 0.0), (1.5, None, 0.0), False, GEOM_TOL)
-@example(0, -8.0, False, 0.5, (0.0, 1, 1.0), (0.0, 1, -1.0), True, 1e-6)
+@example(0, -17.0, True, 1.0, (0.0, 1, 0.0), (1.5, None, 0.0), False, GEOM_TOL, False)
+@example(0, -8.0, False, 0.5, (0.0, 1, 1.0), (0.0, 1, -1.0), True, 1e-6, False)
 # the lowest angle sits by the floor of column -710: the disc's radius
 # e^(c + 1 - geom_tol) underflows to 0, and every sample is lifted
-@example(-710, -9.0, True, 1.0, (1.7, None, 0.0), (1.9, None, 0.0), False, GEOM_TOL)
-@settings(max_examples=200, deadline=None)
-def test_the_modulus_disc_keeps_every_exit(n, log_offset, above, rise, end_a, end_b, flip, tol):
-    # a chord whose lowest end angle sits 1e-17..1e-6 above or below the
-    # floor of column n at tol, rising by rise to its other end, with ends
-    # whose moduli cross e^n and e^(n + 1), some within tol of the glue
-    # line: its exit, at GEOM_TOL and at 1e-6, is the one the reference
-    # finds by lifting every sample
-    theta_low = TWO_PI * n + tol + (1.0 if above else -1.0) * 10.0**log_offset
+@example(-710, -9.0, True, 1.0, (1.7, None, 0.0), (1.9, None, 0.0), False, GEOM_TOL, False)
+# the angle climbs from column 0 to b on the circle |z| = e, just above
+# the floor of column 1 at GEOM_TOL: by less than the margin (1e-17), where
+# the disc stays, and by more (1e-9, and 1e-6 at tol 1e-6), where the
+# first lifted samples raise it; just below the floor b is blocked
+@example(1, -17.0, True, 2.0, (-0.5, None, 0.0), (0.0, None, 0.0), False, GEOM_TOL, True)
+@example(1, -9.0, True, 2.0, (-0.5, None, 0.0), (0.0, None, 0.0), False, GEOM_TOL, True)
+@example(1, -6.0, True, 2.0, (-0.5, None, 0.0), (0.0, None, 0.0), False, 1e-6, True)
+@example(1, -9.0, False, 2.0, (-0.5, None, 0.0), (0.0, None, 0.0), False, GEOM_TOL, True)
+# the third chord run backwards: its angle falls, and the disc stays
+@example(1, -6.0, True, 2.0, (0.0, None, 0.0), (-0.5, None, 0.0), True, 1e-6, True)
+@settings(max_examples=300, deadline=None)
+def test_the_modulus_disc_keeps_every_exit(
+    n, log_offset, above, rise, end_a, end_b, flip, tol, top
+):
+    # a chord whose lowest end angle (or, with top, its highest) sits
+    # 1e-17..1e-6 above or below the floor of column n at tol, rising by
+    # rise to its other end (falling, with flip), with ends whose moduli
+    # cross e^n and e^(n + 1), some within tol of the glue line: its exit,
+    # at GEOM_TOL and at 1e-6, is the one the reference finds by lifting
+    # every sample.  With top the disc of column n - 1 rises to column n's
+    # once a lifted sample's angle and b's clear the floor of column n
+    edge = TWO_PI * n + tol + (1.0 if above else -1.0) * 10.0**log_offset
     xs = [n + (u if k is None else k + g * tol) for u, k, g in (end_a, end_b)]
-    thetas = [theta_low, theta_low + rise]
+    thetas = [edge - rise, edge] if top else [edge, edge + rise]
     if flip:
         thetas.reverse()
     a, b = (cmath.exp(complex(x, theta)) for x, theta in zip(xs, thetas))

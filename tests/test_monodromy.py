@@ -77,6 +77,12 @@ class TestClassify:
         with pytest.raises(NotOnSlit):
             classify(-E2, 1, 2)
 
+    @pytest.mark.parametrize("omega", [complex(math.nan, 0.0), complex(1.0, -math.inf), math.inf])
+    def test_a_non_finite_omega_is_rejected(self, omega):
+        # not reported as off the slit, which says nothing of a nan
+        with pytest.raises(ValueError, match="omega must be finite"):
+            classify(omega, 0, 1)
+
     def test_a_large_winding_index_is_decided_without_a_witness(self):
         # the verdict comes from the lift end alone; a witness would climb
         # 10^8 turns of the staircase
